@@ -9,7 +9,7 @@ These summaries drive the choice of subsetting strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,16 +122,3 @@ def route_frequencies(
     patterns.sort(key=lambda p: (-p.count, tuple(sorted(p.groups_present))))
     return patterns
 
-
-def row_route(
-    dataset: Dataset, groups: Sequence[SignalGroup], row: int
-) -> frozenset[str]:
-    """The set of fully-present groups for one row."""
-    present = dataset.present_signals(row)
-    return frozenset(g.name for g in groups if set(g.members) <= present)
-
-
-def groups_from_mapping(mapping: dict[str, Iterable[SignalId]]) -> list[SignalGroup]:
-    groups = [SignalGroup(name, tuple(members)) for name, members in mapping.items()]
-    ensure_disjoint_groups(groups)
-    return groups

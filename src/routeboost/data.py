@@ -168,9 +168,12 @@ def _parse_cell(field: str, line_no: int, col: str) -> float:
         raise MalformedCsv(
             f"line {line_no}, column {col!r}: unparsable number {field!r}"
         ) from None
-    if math.isnan(value):
-        # A literal NaN would introduce a second missing-value encoding.
-        raise MalformedCsv(f"line {line_no}, column {col!r}: NaN is not a value")
+    if not math.isfinite(value):
+        # A literal NaN would introduce a second missing-value encoding,
+        # and an infinity is no measurement.
+        raise MalformedCsv(
+            f"line {line_no}, column {col!r}: {field!r} is not a finite number"
+        )
     return value
 
 

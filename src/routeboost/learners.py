@@ -4,7 +4,7 @@ Three kinds: a mean predictor, ridge-regularized least squares solved
 via the normal equations on centered data (intercept unpenalized), and
 a depth-limited regression tree with greedy variance-reduction splits.
 Fitting is deterministic: identical inputs produce bit-identical
-parameters regardless of the active split kernel backend.
+parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Sequence, Union
 import numpy as np
 import scipy.linalg
 
-from ._kernels import scan_split
 from .errors import ArityMismatch, EmptyTrainingSet, SingularSystem
 
 LEARNER_KINDS = ("mean", "ridge", "tree")
@@ -141,8 +140,8 @@ def _as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("y must be a vector with one entry per row of X")
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training rows")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise ValueError("training data must not contain missing values")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("training data must not contain missing or infinite values")
     return X, y
 
 
@@ -205,6 +204,52 @@ def _fit_ridge(
     return RidgeLearner(names, intercept, w)
 
 
+def scan_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
+    """Best boundary of one feature for a variance-reduction split.
+
+    ``xs`` must be sorted ascending and ``ys`` holds the node-centered
+    target values in the same order; ``min_leaf`` is at least 1. Returns
+    ``(left_count, threshold, score)`` where ``score`` is the summed
+    left+right SSE, or ``None`` when no boundary satisfies ``min_leaf`` on
+    both sides. Thresholds are midpoints of consecutive distinct values;
+    equal scores keep the lowest threshold.
+
+    The prefix sums are sequential (``np.cumsum``) and each boundary's
+    score is the same expression a left-to-right loop would evaluate, so
+    the result is bit-identical to that loop; ``tests/scan_oracle.py``
+    holds it as the reference.
+    """
+    n = len(xs)
+    # Boundary i (rows [0, i) go left) is candidate k = i - 1.
+    lo, hi = min_leaf - 1, n - min_leaf
+    if lo >= hi:
+        return None
+    sums = np.cumsum(ys)
+    sqs = np.cumsum(ys * ys)
+    left_sum = sums[lo:hi]
+    left_sq = sqs[lo:hi]
+    right_sum = sums[-1] - left_sum
+    right_sq = sqs[-1] - left_sq
+    i = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    score = (left_sq - left_sum * left_sum / i) + (
+        right_sq - right_sum * right_sum / (n - i)
+    )
+    score[(xs[lo:hi] == xs[lo + 1 : hi + 1]) | np.isnan(score)] = np.inf
+    k = int(np.argmin(score))
+    best_score = float(score[k])
+    if best_score == np.inf:
+        return None
+    pos = lo + k + 1
+    a = float(xs[pos - 1])
+    b = float(xs[pos])
+    thr = (a + b) / 2.0
+    if thr == b:
+        # Adjacent floats can round the midpoint up; pin the threshold so
+        # the partition matches the scanned boundary.
+        thr = a
+    return pos, thr, best_score
+
+
 def _fit_tree(
     config: LearnerConfig, X: np.ndarray, y: np.ndarray, names: tuple[str, ...]
 ) -> TreeLearner:
@@ -232,11 +277,7 @@ def _fit_tree(
         for j in range(X.shape[1]):
             xcol = X[rows, j]
             order = np.argsort(xcol, kind="stable")
-            found = scan_split(
-                np.ascontiguousarray(xcol[order]),
-                np.ascontiguousarray(yc[order]),
-                min_leaf,
-            )
+            found = scan_split(xcol[order], yc[order], min_leaf)
             if found is None:
                 continue
             _, threshold, score = found

@@ -1,10 +1,7 @@
-"""Pure-Python best-split scan, the fallback for the compiled kernel.
+"""Reference best-split scan: one sequential left-to-right loop.
 
-Both kernels execute the exact same sequence of IEEE-754 double
-operations (sequential prefix sums, ascending boundary scan, strict
-improvement updates), so fitted trees are bit-for-bit identical no
-matter which backend is active. Keep any change mirrored in
-``_split_cy.pyx``.
+``routeboost.learners.scan_split`` must return exactly what this loop
+returns (same tuple, compared with ``==``) for every finite input.
 """
 
 from __future__ import annotations

@@ -138,6 +138,22 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_infinite_cell_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "inf.csv"
+        data.write_text("A,Y\n1,2\n2,inf\n3,4\n", encoding="utf-8")
+        code = main(
+            [
+                "train", "--data", str(data), "--target", "Y", "--learner", "tree",
+                "--model-out", str(tmp_path / "m.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "line 3, column 'Y'" in captured.err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestPredict:
     def make_model(self, steel_csv, tmp_path):

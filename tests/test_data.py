@@ -51,10 +51,12 @@ class TestLoad:
         with pytest.raises(MalformedCsv):
             load_dataset(write(tmp_path, "A,Y\n1,abc\n"), "Y")
 
-    def test_literal_nan_rejected(self, tmp_path):
-        # NaN input would create a second missing-value encoding.
-        with pytest.raises(MalformedCsv):
-            load_dataset(write(tmp_path, "A,Y\nnan,2\n"), "Y")
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+    def test_literal_nan_rejected(self, tmp_path, cell):
+        # NaN input would create a second missing-value encoding, and an
+        # infinity is no measurement.
+        with pytest.raises(MalformedCsv, match="line 3, column 'A'"):
+            load_dataset(write(tmp_path, f"A,Y\n1,2\n{cell},3\n"), "Y")
 
     def test_crlf_and_header_only(self, tmp_path):
         ds = load_dataset(write(tmp_path, "A,Y\r\n1,2\r\n"), "Y")

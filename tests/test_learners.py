@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from routeboost._kernels import BACKEND, scan_split, scan_split_py
+import routeboost.learners as learners
 from routeboost.errors import ArityMismatch, EmptyTrainingSet, SingularSystem
 from routeboost.learners import (
     LearnerConfig,
@@ -15,7 +17,9 @@ from routeboost.learners import (
     fit,
     learner_from_json,
     learner_to_json,
+    scan_split,
 )
+from tests import scan_oracle
 
 # --- independent oracles -----------------------------------------------------
 
@@ -66,6 +70,20 @@ class TestMeanLearner:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             fit(LearnerConfig(kind="mean"), np.empty((0, 1)), np.empty(0))
+
+
+@pytest.mark.parametrize("kind", ["mean", "ridge", "tree"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_values(kind, bad):
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.arange(6.0)
+    bad_X = X.copy()
+    bad_X[2, 1] = bad
+    bad_y = y.copy()
+    bad_y[4] = bad
+    for Xi, yi in ((bad_X, y), (X, bad_y)):
+        with pytest.raises(ValueError, match="missing or infinite"):
+            fit(LearnerConfig(kind=kind), Xi, yi)
 
 
 class TestRidge:
@@ -213,8 +231,32 @@ class TestTree:
         assert learner_to_json(a) == learner_to_json(b)
 
 
+@st.composite
+def scan_inputs(draw):
+    """Sorted feature values with heavy ties, centered targets, a min_leaf.
+
+    Values come rounded to few decimals (many duplicates) or as runs of
+    adjacent floats, whose midpoints round onto the upper neighbour and
+    exercise the threshold pin.
+    """
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        xs = np.round(rng.normal(size=n), draw(st.integers(0, 2)))
+    else:
+        values = [draw(st.floats(-1e6, 1e6))]
+        for step in rng.integers(0, 2, size=n - 1):
+            values.append(np.nextafter(values[-1], np.inf) if step else values[-1])
+        xs = np.array(values)
+    xs = np.sort(xs)
+    scale = 10.0 ** draw(st.integers(-3, 6))
+    ys = rng.normal(size=n) * scale
+    ys -= ys.mean()
+    return xs, ys, draw(st.integers(1, 9))
+
+
 class TestKernelParity:
-    """The compiled and pure-Python scans must agree bit-for-bit."""
+    """The NumPy scan must equal the sequential oracle loop bit-for-bit."""
 
     def test_scan_results_identical(self):
         rng = np.random.default_rng(55)
@@ -223,33 +265,34 @@ class TestKernelParity:
             xs = np.sort(rng.normal(size=n))
             ys = rng.normal(size=n)
             ys -= ys.mean()
-            got_py = scan_split_py(xs, ys, 1)
-            got_active = scan_split(xs, ys, 1)
-            assert got_py == got_active
+            assert scan_split(xs, ys, 1) == scan_oracle.scan_split(xs, ys, 1)
 
     def test_scan_handles_ties_identically(self):
         xs = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         ys = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
-        assert scan_split_py(xs, ys, 1) == scan_split(xs, ys, 1)
+        assert scan_split(xs, ys, 1) == scan_oracle.scan_split(xs, ys, 1)
 
     def test_no_valid_boundary(self):
         xs = np.array([1.0, 1.0, 1.0])
         ys = np.array([0.0, 1.0, -1.0])
         assert scan_split(xs, ys, 1) is None
-        assert scan_split_py(xs, ys, 1) is None
+        assert scan_oracle.scan_split(xs, ys, 1) is None
 
-    @pytest.mark.skipif(BACKEND != "compiled", reason="extension not built")
-    def test_tree_fit_identical_across_backends(self, monkeypatch):
-        import routeboost.learners as learners
+    @settings(max_examples=300, deadline=None)
+    @given(scan_inputs())
+    def test_scan_matches_oracle_property(self, case):
+        xs, ys, min_leaf = case
+        assert scan_split(xs, ys, min_leaf) == scan_oracle.scan_split(xs, ys, min_leaf)
 
+    def test_tree_fit_identical_with_oracle_scan(self, monkeypatch):
         rng = np.random.default_rng(99)
-        X = rng.normal(size=(120, 4))
+        X = np.round(rng.normal(size=(120, 4)), 1)
         y = rng.normal(size=120)
         config = LearnerConfig(kind="tree", tree_max_depth=4, tree_min_leaf=3)
-        compiled = fit(config, X, y)
-        monkeypatch.setattr(learners, "scan_split", scan_split_py)
-        fallback = fit(config, X, y)
-        assert learner_to_json(compiled) == learner_to_json(fallback)
+        fast = fit(config, X, y)
+        monkeypatch.setattr(learners, "scan_split", scan_oracle.scan_split)
+        reference = fit(config, X, y)
+        assert learner_to_json(fast) == learner_to_json(reference)
 
 
 class TestSerialization:
