@@ -18,7 +18,6 @@ from .data import Dataset
 from .ensemble import (
     EnsembleModel,
     StratifiedMetrics,
-    complete_case_rows,
     evaluate,
     train_bagging,
     train_boosting,
@@ -180,7 +179,10 @@ def run_benchmark(
             model=conv_model,
             metrics=evaluate(conv_model, test_ds, specs),
             failure=None,
-            member_rows={"conventional": int(complete_case_rows(train_ds).size)},
+            member_rows={
+                m.name: int(subset_rows(train_ds, SubsetSpec(m.name, m.features)).size)
+                for m in conv_model.members
+            },
             train_checksum=checksum,
         )
     except EmptyTrainingSet:

@@ -24,13 +24,7 @@ from .analysis import (
 from .benchmark import benchmark_learner_config, run_benchmark, train_proposed
 from .config import RunConfig, load_run_config, parse_coalesce
 from .data import Dataset, coalesce_signals, load_dataset, load_table, write_csv
-from .ensemble import (
-    evaluate,
-    load_model,
-    model_to_dict,
-    save_model,
-    train_bagging,
-)
+from .ensemble import evaluate, load_model, save_model
 from .errors import DomainError, InputError, NoApplicableModel
 from .subsetting import (
     SubsetSpec,
@@ -184,10 +178,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_input(config)
     specs, _ = build_subset_specs(dataset, config.strategy_options())
     learner = config.learner_config()
-    if config.mode == "bagging":
-        model = train_bagging(dataset, specs, learner)
-    else:
-        model = train_proposed(dataset, specs, learner, "boosting")
+    model = train_proposed(dataset, specs, learner, config.mode)
     manifest = _spec_manifest(dataset, specs)
     for entry in manifest:
         print(f"member subset {entry['name']}: {entry['n_rows']} training rows")

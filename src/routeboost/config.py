@@ -27,17 +27,8 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .learners import LearnerConfig
+from .learners import LearnerConfig, is_name_list
 from .subsetting import StrategyOptions
-
-_LEARNER_KEYS = {
-    "kind",
-    "ridge_lambda",
-    "tree_max_depth",
-    "tree_min_leaf",
-    "standardize",
-}
-
 
 @dataclass
 class RunConfig:
@@ -73,7 +64,7 @@ class RunConfig:
     def learner_config(self, **defaults: Any) -> LearnerConfig:
         merged = dict(defaults)
         merged.update(self.learner)
-        unknown = set(merged) - _LEARNER_KEYS
+        unknown = set(merged) - set(LearnerConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown learner options: {sorted(unknown)}")
         try:
@@ -98,8 +89,44 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in doc.items():
+        _check_type(path, key, value)
         setattr(config, key, value)
+    config.learner_config()  # reject bad learner options before any work
     return config
+
+
+# JSON value types of the RunConfig and LearnerConfig field annotations.
+_JSON_TYPES = {
+    "str": str,
+    "bool": bool,
+    "int": int,
+    "float": (int, float),
+    "list[str]": list,
+    "dict[str, Any]": dict,
+    "dict[str, list[str]]": dict,
+}
+
+
+def _check_type(path, key: str, value: Any, owner: type = RunConfig) -> None:
+    """Raise ConfigError unless ``value`` fits the annotation of ``owner.key``."""
+    kind = owner.__dataclass_fields__[key].type
+    if value is None and kind.endswith(" | None"):
+        return
+    expected = _JSON_TYPES[kind.removesuffix(" | None")]
+    ok = isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+    if not ok or kind == "list[str]" and not is_name_list(value):
+        raise ConfigError(f"{path}: {key!r} must be {kind}, got {value!r}")
+    if kind.startswith("dict[str, list[str]]"):
+        what = "group" if key == "segments" else "signal"
+        for name, members in value.items():
+            if not is_name_list(members):
+                raise ConfigError(
+                    f"{path}: {key} {name!r} is not a list of {what} names"
+                )
+    if key == "learner":
+        for option, option_value in value.items():
+            if option in LearnerConfig.__dataclass_fields__:
+                _check_type(path, option, option_value, LearnerConfig)
 
 
 def parse_coalesce(directive: str) -> tuple[str, list[str]]:

@@ -10,8 +10,8 @@ its route produced.
 
 The conventional baseline (complete-case deletion: drop every row with
 any missing value, fit one model on all signals) is wrapped as a
-one-member ensemble so the same prediction and evaluation machinery
-applies.
+one-member bagging ensemble so the same training, prediction and
+evaluation machinery applies.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import numpy as np
 
 from .data import Dataset, SignalId
 from .errors import (
+    EmptySubset,
     EmptyTrainingSet,
+    InputError,
     NoApplicableModel,
     NotNested,
 )
@@ -34,6 +36,7 @@ from .learners import (
     fit,
     learner_from_dict,
     learner_to_dict,
+    signal_names,
 )
 from .subsetting import SubsetSpec, materialize, validate_nested_chain
 
@@ -137,6 +140,34 @@ def _prefix_predictions(
     return total
 
 
+def _fit_members(
+    dataset: Dataset,
+    specs: Sequence[SubsetSpec],
+    parents: Sequence[Sequence[int] | None],
+    names: Sequence[str],
+    config: LearnerConfig,
+) -> tuple[EnsembleMember, ...]:
+    """Fit one member per spec, in order, each on its materialized subset.
+
+    Member k is fit against the target minus the summed predictions of
+    the earlier members listed in ``parents[k]``, or against the stored
+    target column when that entry is None. The two differ only in memory
+    layout (a contiguous copy or a strided column), on which ridge's BLAS
+    products can round differently; a chain base subtracts an empty
+    prefix and a bagging member does not, as their saved models did.
+    """
+    members: list[EnsembleMember] = []
+    for spec, prefix, name in zip(specs, parents, names):
+        sub = materialize(dataset, spec)
+        X = _training_matrix(sub, spec.features)
+        y = sub.column(sub.target)
+        if prefix is not None:
+            y = y - _prefix_predictions([members[j] for j in prefix], sub)
+        learner = fit(config, X, y, features=spec.features)
+        members.append(EnsembleMember(name, spec.features, learner))
+    return tuple(members)
+
+
 def train_boosting(
     dataset: Dataset, specs: Sequence[SubsetSpec], config: LearnerConfig
 ) -> EnsembleModel:
@@ -148,17 +179,10 @@ def train_boosting(
     the role name "base"; residual members keep their subset names.
     """
     chain = validate_nested_chain(specs)
-    members: list[EnsembleMember] = []
-    for k, spec in enumerate(chain):
-        sub = materialize(dataset, spec)
-        X = _training_matrix(sub, spec.features)
-        y = sub.column(sub.target).copy()
-        if members:
-            y -= _prefix_predictions(members, sub)
-        learner = fit(config, X, y, features=spec.features)
-        name = "base" if k == 0 else spec.name
-        members.append(EnsembleMember(name, spec.features, learner))
-    return EnsembleModel("boosting", dataset.target, tuple(members))
+    parents = [range(k) for k in range(len(chain))]
+    names = ["base"] + [spec.name for spec in chain[1:]]
+    members = _fit_members(dataset, chain, parents, names, config)
+    return EnsembleModel("boosting", dataset.target, members)
 
 
 def train_boosting_branched(
@@ -166,37 +190,24 @@ def train_boosting_branched(
 ) -> EnsembleModel:
     """Base plus one single-step residual per branch.
 
-    Covers layouts with mutually exclusive branches (grouped-signal
-    subsets): the unique narrowest spec must be a strict subset of every
-    other spec; each branch residual is fit against the base alone. Rows
-    of different branches are mutually exclusive in route-driven data,
-    so at most one branch correction applies per row.
+    The unique narrowest spec is the base and must be a strict subset of
+    every other spec. Each branch is fit against the base prediction
+    alone. Branches may fire together: a row with the signals of several
+    branches gets the base plus the sum of all their corrections, though
+    none was fit with another's correction in place.
     """
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
     ordered = sorted(specs, key=lambda s: (len(s.features), s.name))
-    base_spec, branch_specs = ordered[0], ordered[1:]
-    for spec in branch_specs:
-        if not base_spec.feature_set < spec.feature_set:
+    for spec in ordered[1:]:
+        if not ordered[0].feature_set < spec.feature_set:
             raise NotNested(
                 f"branch {spec.name!r} does not contain the base features"
             )
-    base_sub = materialize(dataset, base_spec)
-    base_learner = fit(
-        config,
-        _training_matrix(base_sub, base_spec.features),
-        base_sub.column(base_sub.target),
-        features=base_spec.features,
-    )
-    members = [EnsembleMember("base", base_spec.features, base_learner)]
-    for spec in branch_specs:
-        sub = materialize(dataset, spec)
-        y = sub.column(sub.target) - _prefix_predictions(members[:1], sub)
-        learner = fit(
-            config, _training_matrix(sub, spec.features), y, features=spec.features
-        )
-        members.append(EnsembleMember(spec.name, spec.features, learner))
-    return EnsembleModel("boosting", dataset.target, tuple(members))
+    parents = [None] + [(0,)] * (len(ordered) - 1)
+    names = ["base"] + [spec.name for spec in ordered[1:]]
+    members = _fit_members(dataset, ordered, parents, names, config)
+    return EnsembleModel("boosting", dataset.target, members)
 
 
 def train_bagging(
@@ -205,41 +216,25 @@ def train_bagging(
     """Independent members, one per subset, each predicting the target."""
     if not specs:
         raise ValueError("bagging needs at least one subset")
-    members = []
-    for spec in specs:
-        sub = materialize(dataset, spec)
-        learner = fit(
-            config,
-            _training_matrix(sub, spec.features),
-            sub.column(sub.target),
-            features=spec.features,
-        )
-        members.append(EnsembleMember(spec.name, spec.features, learner))
-    return EnsembleModel("bagging", dataset.target, tuple(members))
-
-
-def complete_case_rows(dataset: Dataset) -> np.ndarray:
-    """Rows with every signal (target included) present."""
-    return np.flatnonzero(dataset.availability_mask().all(axis=1))
+    names = [spec.name for spec in specs]
+    members = _fit_members(dataset, specs, [None] * len(specs), names, config)
+    return EnsembleModel("bagging", dataset.target, members)
 
 
 def train_conventional(dataset: Dataset, config: LearnerConfig) -> EnsembleModel:
-    """Complete-case baseline: listwise deletion, one model on all signals."""
+    """Complete-case baseline: listwise deletion, one model on all signals.
+
+    It is a one-member bagging ensemble over every non-target signal.
+    """
     if dataset.target is None:
         raise ValueError("train_conventional requires a dataset with a target")
-    rows = complete_case_rows(dataset)
-    if rows.size == 0:
-        raise EmptyTrainingSet("no row is free of missing values")
     features = tuple(s for s in dataset.signals if s != dataset.target)
-    sub = dataset.project(dataset.signals, rows)
-    learner = fit(
-        config,
-        _training_matrix(sub, features),
-        sub.column(dataset.target),
-        features=features,
-    )
-    member = EnsembleMember("conventional", features, learner)
-    return EnsembleModel("bagging", dataset.target, (member,))
+    spec = SubsetSpec("conventional", features)
+    try:
+        members = _fit_members(dataset, [spec], [None], [spec.name], config)
+    except EmptySubset:
+        raise EmptyTrainingSet("no row is free of missing values") from None
+    return EnsembleModel("bagging", dataset.target, members)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -386,13 +381,21 @@ def model_to_dict(model: EnsembleModel) -> dict:
 
 
 def model_from_dict(d: dict) -> EnsembleModel:
-    members = tuple(
-        EnsembleMember(
-            m["name"], tuple(m["features"]), learner_from_dict(m["learner"])
+    """Inverse of ``model_to_dict``; any other document raises InputError."""
+    try:
+        docs = d["members"]
+        target, *names = signal_names([d["target"]] + [m["name"] for m in docs])
+        members = tuple(
+            EnsembleMember(
+                name, signal_names(m["features"]), learner_from_dict(m["learner"])
+            )
+            for name, m in zip(names, docs)
         )
-        for m in d["members"]
-    )
-    return EnsembleModel(d["mode"], d["target"], members)
+        return EnsembleModel(d["mode"], target, members)
+    except KeyError as exc:
+        raise InputError(f"malformed model: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed model: {exc}") from None
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -313,14 +313,28 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def is_name_list(value) -> bool:
+    """Whether a decoded JSON value is a list of names (strings)."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def signal_names(value) -> tuple[str, ...]:
+    """A JSON list of signal names as a tuple; TypeError for anything else."""
+    if not is_name_list(value):
+        raise TypeError(f"expected a list of signal names, got {value!r}")
+    return tuple(value)
+
+
+def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     if "value" in d:
         return Leaf(float(d["value"]), int(d["n_rows"]))
+    if d["feature"] not in range(n_features):
+        raise ValueError(f"tree splits on feature {d['feature']!r} of {n_features}")
     return Split(
         int(d["feature"]),
         float(d["threshold"]),
-        _node_from_dict(d["left"]),
-        _node_from_dict(d["right"]),
+        _node_from_dict(d["left"], n_features),
+        _node_from_dict(d["right"], n_features),
     )
 
 
@@ -340,19 +354,23 @@ def learner_to_dict(learner: FittedLearner) -> dict:
 
 
 def learner_from_dict(d: dict) -> FittedLearner:
+    """Inverse of ``learner_to_dict``.
+
+    A document off that schema raises KeyError, TypeError or ValueError.
+    """
     kind = d["kind"]
-    features = tuple(d["features"])
+    features = signal_names(d["features"])
     params = d["parameters"]
     if kind == "mean":
         return MeanLearner(features, float(params["value"]))
     if kind == "ridge":
-        return RidgeLearner(
-            features,
-            float(params["intercept"]),
-            np.array(params["weights"], dtype=np.float64),
-        )
+        weights = np.array(params["weights"], dtype=np.float64)
+        if weights.shape != (len(features),):
+            raise ValueError(f"{weights.size} weights for {len(features)} features")
+        return RidgeLearner(features, float(params["intercept"]), weights)
     if kind == "tree":
-        return TreeLearner(features, _node_from_dict(params["root"]))
+        root = _node_from_dict(params["root"], len(features))
+        return TreeLearner(features, root)
     raise ValueError(f"unknown learner kind {kind!r}")
 
 

@@ -202,12 +202,10 @@ def materialize(dataset: Dataset, spec: SubsetSpec) -> Dataset:
     for s in spec.features:
         if s not in dataset.signals:
             raise UnknownSignal(f"subset {spec.name!r}: unknown signal {s!r}")
-    wanted = set(spec.features) | {dataset.target}
-    idx = [dataset.index(s) for s in dataset.signals if s in wanted]
-    rows = np.flatnonzero(dataset.availability_mask()[:, idx].all(axis=1))
+    rows = subset_rows(dataset, spec)
     if rows.size == 0:
         raise EmptySubset(f"subset {spec.name!r} has no complete rows")
-    return dataset.project(wanted, rows)
+    return dataset.project(set(spec.features) | {dataset.target}, rows)
 
 
 def subset_rows(dataset: Dataset, spec: SubsetSpec) -> np.ndarray:

@@ -334,3 +334,78 @@ class TestCoalesceFlag:
         assert "B" in report["signals"]
         assert "B1" not in report["signals"]
         assert "B" in report["always_available"]
+
+
+
+def one_line_error(code, capsys) -> str:
+    """The stderr of a run that must exit 2 with one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+MEAN_MEMBER = {
+    "name": "base",
+    "features": ["A"],
+    "learner": {"kind": "mean", "features": ["A"], "parameters": {"value": 1.0}},
+}
+SVM_MEMBER = dict(MEAN_MEMBER, learner=dict(MEAN_MEMBER["learner"], kind="svm"))
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, 2],
+            {"mode": "boosting", "target": "Y"},
+            {"mode": "boosting", "target": "Y", "members": []},
+            {"mode": "boosting", "target": "Y", "members": [SVM_MEMBER]},
+        ],
+        ids=["not-an-object", "no-members", "empty-members", "unknown-learner"],
+    )
+    def test_exit_2(self, toy6_csv, tmp_path, capsys, doc, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(
+            [
+                command, "--data", toy6_csv, "--model", str(model),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert "malformed model" in one_line_error(code, capsys)
+
+    def test_hand_written_model_loads(self, toy6_csv, tmp_path):
+        model = tmp_path / "model.json"
+        doc = {"mode": "boosting", "target": "Y", "members": [MEAN_MEMBER]}
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        code = main(
+            ["predict", "--data", toy6_csv, "--model", str(model), "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "1.0,base,"
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"seed": "abc"}, "'seed' must be int"),
+            ({"test_fraction": "x"}, "'test_fraction' must be float"),
+            ({"learner": {"ridge_lambda": "x"}}, "'ridge_lambda' must be float"),
+            ({"groups": {"a": "PLTCM_1"}}, "groups 'a' is not a list of signal names"),
+        ],
+        ids=["seed", "test-fraction", "ridge-lambda", "group-string"],
+    )
+    def test_exit_2(self, steel_csv, tmp_path, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(
+            [
+                "benchmark", "--config", str(config), "--data", steel_csv,
+                "--target", "Y",
+            ]
+        )
+        assert message in one_line_error(code, capsys)
