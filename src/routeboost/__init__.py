@@ -18,7 +18,6 @@ from .data import (
     AvailabilityPattern,
     Dataset,
     SignalId,
-    availability_mask,
     coalesce_signals,
     dataset_from_columns,
     load_dataset,

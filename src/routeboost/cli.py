@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -25,7 +28,8 @@ from .benchmark import benchmark_learner_config, run_benchmark, train_proposed
 from .config import RunConfig, load_run_config, parse_coalesce
 from .data import Dataset, coalesce_signals, load_dataset, load_table, write_csv
 from .ensemble import evaluate, load_model, save_model
-from .errors import DomainError, InputError, NoApplicableModel
+from .errors import DomainError, InputError
+from .learners import is_name_list
 from .subsetting import (
     SubsetSpec,
     build_subset_specs,
@@ -107,6 +111,28 @@ def _spec_manifest(dataset: Dataset, specs: list[SubsetSpec]) -> list[dict]:
         }
         for s in specs
     ]
+
+
+def _strata_from_manifest(manifest) -> list[SubsetSpec]:
+    """Strata from a subset manifest: a list of {"name", "features"} objects."""
+    if not isinstance(manifest, list):
+        raise InputError("malformed strata manifest: expected a list of subsets")
+    strata = []
+    for entry in manifest:
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and is_name_list(entry.get("features"))
+        ):
+            raise InputError(
+                "malformed strata manifest: each entry needs a name and a list "
+                f"of signal names, got {entry!r}"
+            )
+        try:
+            strata.append(SubsetSpec(entry["name"], tuple(entry["features"])))
+        except ValueError as exc:
+            raise InputError(f"malformed strata manifest: {exc}") from None
+    return strata
 
 
 # --- subcommands -----------------------------------------------------------
@@ -202,20 +228,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
     out = args.out or config.predictions_out
     if not out:
         raise InputError("no predictions output path (use --out or the config)")
+    values, fired = model.predict_dataset(table)
+    names = [m.name for m in model.members]
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["prediction", "members", "reason"])
-        n_ok = 0
-        for i in range(table.n_rows):
-            row = table.row_values(i)
-            row.pop(model.target, None)
-            try:
-                value, names = model.predict_with_members(row)
-            except NoApplicableModel:
+        for value, row_fired in zip(values.tolist(), fired.tolist()):
+            if math.isnan(value):
                 writer.writerow(["", "", "no-applicable-model"])
-                continue
-            writer.writerow([repr(value), ",".join(names), ""])
-            n_ok += 1
+            else:
+                members = ",".join(n for n, f in zip(names, row_fired) if f)
+                writer.writerow([repr(value), members, ""])
+    n_ok = int(np.count_nonzero(~np.isnan(values)))
     print(f"predicted {n_ok}/{table.n_rows} rows -> {out}")
     return 0
 
@@ -227,8 +251,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load_input(config)
     if args.strata:
         with open(args.strata, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        strata = [SubsetSpec(e["name"], tuple(e["features"])) for e in manifest]
+            strata = _strata_from_manifest(json.load(fh))
     else:
         strata = [SubsetSpec(m.name, m.features) for m in model.members]
     metrics = evaluate(model, dataset, strata)

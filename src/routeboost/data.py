@@ -137,10 +137,6 @@ class Dataset:
             raise RowOutOfRange(f"row index {row} outside [0, {self.n_rows})")
 
 
-def availability_mask(dataset: Dataset) -> np.ndarray:
-    return dataset.availability_mask()
-
-
 def dataset_from_columns(
     columns: Mapping[SignalId, Sequence[float | None]],
     target: SignalId | None = None,

@@ -122,6 +122,35 @@ class EnsembleModel:
         value, _ = self.predict_with_members(row)
         return value
 
+    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Every row of a table scored at once: ``(values, fired)``.
+
+        ``fired[i, k]`` says member k's inputs are all present in row i;
+        a member reading a column the table lacks never fires, and
+        neither the model's target nor the table's is an input.
+        ``values[i]`` is what ``predict`` returns for row i's other
+        present signals, bit for bit, and NaN where it would raise
+        NoApplicableModel.
+        """
+        mask = dataset.availability_mask()
+        targets = {self.target, dataset.target}
+        columns = {s: j for j, s in enumerate(dataset.signals) if s not in targets}
+        fired = np.zeros((dataset.n_rows, len(self.members)), dtype=bool)
+        total = np.zeros(dataset.n_rows)
+        for k, member in enumerate(self.members):
+            if not set(member.features) <= columns.keys():
+                continue
+            cols = [columns[s] for s in member.features]
+            fired[:, k] = mask[:, cols].all(axis=1)
+            rows = np.flatnonzero(fired[:, k])
+            X = dataset.values[np.ix_(rows, cols)]
+            total[rows] += member.learner.predict_matrix(X)
+        if self.mode == "boosting":
+            return np.where(fired[:, 0], total, np.nan), fired
+        n_fired = fired.sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            return np.where(n_fired > 0, total / n_fired, np.nan), fired
+
 
 def _training_matrix(sub: Dataset, features: Sequence[SignalId]) -> np.ndarray:
     return np.column_stack([sub.column(f) for f in features])
@@ -131,13 +160,10 @@ def _prefix_predictions(
     members: Sequence[EnsembleMember], sub: Dataset
 ) -> np.ndarray:
     """Summed predictions of already-fitted members on a materialized subset."""
-    total = np.zeros(sub.n_rows)
-    for member in members:
-        X = _training_matrix(sub, member.features)
-        total += np.array(
-            [member.learner.predict_one(X[i]) for i in range(sub.n_rows)]
-        )
-    return total
+    if not members:
+        return np.zeros(sub.n_rows)
+    prefix = EnsembleModel("boosting", sub.target, tuple(members))
+    return prefix.predict_dataset(sub)[0]
 
 
 def _fit_members(
@@ -280,17 +306,15 @@ class StratifiedMetrics:
         }
 
 
-def _metric_row(y: list[float], pred: list[float], n_no_model: int) -> MetricRow:
-    if not y:
+def _metric_row(y: np.ndarray, pred: np.ndarray, n_no_model: int) -> MetricRow:
+    if not y.size:
         return MetricRow(0, None, None, n_no_model)
-    ya = np.array(y)
-    pa = np.array(pred)
-    mae = float(np.mean(np.abs(ya - pa)))
-    sst = float(np.sum((ya - ya.mean()) ** 2))
+    mae = float(np.mean(np.abs(y - pred)))
+    sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0.0:
-        return MetricRow(len(y), mae, None, n_no_model)
-    sse = float(np.sum((ya - pa) ** 2))
-    return MetricRow(len(y), mae, 1.0 - sse / sst, n_no_model)
+        return MetricRow(y.size, mae, None, n_no_model)
+    sse = float(np.sum((y - pred) ** 2))
+    return MetricRow(y.size, mae, 1.0 - sse / sst, n_no_model)
 
 
 def evaluate(
@@ -304,48 +328,39 @@ def evaluate(
     """
     if dataset.target is None:
         raise ValueError("evaluate requires a dataset with a target")
-    order = sorted(strata, key=lambda s: (-len(s.features), s.name))
-    collected: dict[str, tuple[list[float], list[float]]] = {
-        s.name: ([], []) for s in order
-    }
-    no_model: dict[str, int] = {s.name: 0 for s in order}
-    skipped_missing_target = 0
-    skipped_no_stratum = 0
     mask = dataset.availability_mask()
-    target_col = dataset.index(dataset.target)
-    for i in range(dataset.n_rows):
-        if not mask[i, target_col]:
-            skipped_missing_target += 1
+    has_target = mask[:, dataset.index(dataset.target)]
+    # Each row goes to the first stratum, largest feature set first, whose
+    # signals are all present; strata sharing a name share their rows.
+    names = list(dict.fromkeys(s.name for s in strata))
+    assigned = np.full(dataset.n_rows, -1)
+    for spec in sorted(strata, key=lambda s: (-len(s.features), s.name)):
+        if not spec.feature_set <= set(dataset.signals):
             continue
-        row = dataset.row_values(i)
-        present = set(row)
-        stratum = next(
-            (s for s in order if s.feature_set <= present), None
-        )
-        if stratum is None:
-            skipped_no_stratum += 1
-            continue
-        y = row.pop(dataset.target)
-        try:
-            pred = model.predict(row)
-        except NoApplicableModel:
-            no_model[stratum.name] += 1
-            continue
-        ys, preds = collected[stratum.name]
-        ys.append(y)
-        preds.append(pred)
+        cols = [dataset.index(s) for s in spec.features]
+        match = has_target & (assigned < 0) & mask[:, cols].all(axis=1)
+        assigned[match] = names.index(spec.name)
+    pred, _ = model.predict_dataset(dataset)
+    no_model = np.isnan(pred)
+    y = dataset.column(dataset.target)
 
     rows = []
-    all_y: list[float] = []
-    all_pred: list[float] = []
+    all_rows = []
     for spec in strata:  # report in the caller's stratum order
-        ys, preds = collected[spec.name]
-        rows.append((spec.name, _metric_row(ys, preds, no_model[spec.name])))
-        all_y.extend(ys)
-        all_pred.extend(preds)
-    overall = _metric_row(all_y, all_pred, sum(no_model.values()))
+        in_stratum = assigned == names.index(spec.name)
+        scored = np.flatnonzero(in_stratum & ~no_model)
+        n_no_model = int(np.count_nonzero(in_stratum & no_model))
+        rows.append((spec.name, _metric_row(y[scored], pred[scored], n_no_model)))
+        all_rows.append(scored)
+    scored = np.concatenate([np.empty(0, dtype=np.intp), *all_rows])
+    overall = _metric_row(
+        y[scored], pred[scored], int(np.count_nonzero((assigned >= 0) & no_model))
+    )
     return StratifiedMetrics(
-        tuple(rows), overall, skipped_missing_target, skipped_no_stratum
+        tuple(rows),
+        overall,
+        int(np.count_nonzero(~has_target)),
+        int(np.count_nonzero(has_target & (assigned < 0))),
     )
 
 

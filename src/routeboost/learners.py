@@ -65,6 +65,9 @@ class MeanLearner:
         _check_arity(x, self.features)
         return self.value
 
+    def predict_matrix(self, X) -> np.ndarray:
+        return np.full(_check_arity(X, self.features, 2).shape[0], self.value)
+
 
 @dataclass(frozen=True)
 class RidgeLearner:
@@ -80,8 +83,24 @@ class RidgeLearner:
         object.__setattr__(self, "weights", w)
 
     def predict_one(self, x: Sequence[float]) -> float:
+        """``intercept + sum_j x[j] * w[j]``, summed in feature order.
+
+        ``predict_matrix`` adds the same terms in the same order, so a
+        row scored alone and inside any batch gives the same bits; a BLAS
+        dot product or ``X @ w`` would not.
+        """
         xv = _check_arity(x, self.features)
-        return float(self.intercept + np.dot(xv, self.weights))
+        acc = 0.0
+        for xj, wj in zip(xv.tolist(), self.weights.tolist()):
+            acc += xj * wj
+        return float(self.intercept + acc)
+
+    def predict_matrix(self, X) -> np.ndarray:
+        X = _check_arity(X, self.features, 2)
+        acc = np.zeros(X.shape[0])
+        for j, wj in enumerate(self.weights):
+            acc += X[:, j] * wj
+        return self.intercept + acc
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,22 @@ class TreeLearner:
         while isinstance(node, Split):
             node = node.left if xv[node.feature] <= node.threshold else node.right
         return node.value
+
+    def predict_matrix(self, X) -> np.ndarray:
+        """Rows partitioned down the tree with ``predict_one``'s test."""
+        X = _check_arity(X, self.features, 2)
+        out = np.empty(X.shape[0])
+
+        def descend(node: TreeNode, rows: np.ndarray) -> None:
+            if isinstance(node, Leaf):
+                out[rows] = node.value
+                return
+            left = X[rows, node.feature] <= node.threshold
+            descend(node.left, rows[left])
+            descend(node.right, rows[~left])
+
+        descend(self.root, np.arange(X.shape[0]))
+        return out
 
     def depth(self) -> int:
         def walk(node: TreeNode) -> int:
@@ -122,9 +157,10 @@ class TreeLearner:
 FittedLearner = Union[MeanLearner, RidgeLearner, TreeLearner]
 
 
-def _check_arity(x: Sequence[float], features: tuple[str, ...]) -> np.ndarray:
+def _check_arity(x, features: tuple[str, ...], ndim: int = 1) -> np.ndarray:
+    """``x`` as float64: a row (ndim 1) or a matrix (ndim 2) of the features."""
     xv = np.asarray(x, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape[0] != len(features):
+    if xv.ndim != ndim or xv.shape[-1] != len(features):
         raise ArityMismatch(
             f"expected {len(features)} feature values, got shape {xv.shape}"
         )

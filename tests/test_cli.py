@@ -409,3 +409,26 @@ class TestMalformedConfig:
             ]
         )
         assert message in one_line_error(code, capsys)
+
+
+class TestMalformedStrata:
+    @pytest.mark.parametrize(
+        "doc",
+        [[1], {"a": 1}, [{"name": "x"}], [{"name": "x", "features": []}]],
+        ids=["not-an-object", "not-a-list", "no-features", "empty-features"],
+    )
+    def test_exit_2(self, toy6_csv, tmp_path, capsys, doc):
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps({"mode": "boosting", "target": "Y", "members": [MEAN_MEMBER]}),
+            encoding="utf-8",
+        )
+        strata = tmp_path / "strata.json"
+        strata.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(
+            [
+                "evaluate", "--data", toy6_csv, "--model", str(model),
+                "--strata", str(strata),
+            ]
+        )
+        assert "malformed strata manifest" in one_line_error(code, capsys)

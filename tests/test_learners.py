@@ -312,3 +312,50 @@ class TestSerialization:
         doc = json.loads(learner_to_json(model))
         assert set(doc) == {"kind", "features", "parameters"}
         assert doc["features"] == ["a"]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRowIndependence:
+    """A row's prediction has the same bits alone and inside any batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["mean", "ridge", "tree"]),
+        st.integers(1, 33),
+        st.integers(1, 60),
+        st.integers(-3, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_predict_one_matches_every_batch(self, kind, p, n, scale, grid, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            # Split thresholds fall on odd integers, which the batch holds.
+            X = 2.0 * rng.integers(-4, 5, size=(2 * p + 10, p))
+            wide = 1.0 * rng.integers(-8, 9, size=(n, 2 * p))
+        else:
+            X = rng.normal(size=(2 * p + 10, p)) * 10.0**scale
+            wide = rng.normal(size=(n, 2 * p)) * 10.0**scale
+        y = X @ rng.normal(size=p) + rng.normal(size=2 * p + 10)
+        model = fit(LearnerConfig(kind=kind, ridge_lambda=1.0, tree_min_leaf=2), X, y)
+        Xs = wide[:, ::2]  # strided columns
+        full = model.predict_matrix(Xs)
+        one = [model.predict_one(x) for x in Xs]
+        assert all(isinstance(v, float) for v in one)
+        assert np.array_equal(bits(one), bits(full))
+        perm = rng.permutation(n)
+        assert np.array_equal(bits(model.predict_matrix(Xs[perm])), bits(full[perm]))
+        assert np.array_equal(bits(model.predict_matrix(Xs[::3])), bits(full[::3]))
+        fortran = np.asfortranarray(Xs)
+        assert np.array_equal(bits(model.predict_matrix(fortran)), bits(full))
+        for i in range(min(n, 5)):
+            assert bits(model.predict_matrix(Xs[i : i + 1]))[0] == bits(full)[i]
+
+    def test_arity_checked(self):
+        model = fit(LearnerConfig(kind="ridge"), [[1.0], [2.0]], [1.0, 2.0])
+        with pytest.raises(ArityMismatch):
+            model.predict_matrix(np.zeros((3, 2)))
+        assert model.predict_matrix(np.zeros((0, 1))).shape == (0,)
