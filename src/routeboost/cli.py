@@ -45,48 +45,6 @@ def _write_json(path: str | Path, obj) -> None:
         fh.write("\n")
 
 
-def _apply_config(args: argparse.Namespace) -> RunConfig:
-    config = load_run_config(getattr(args, "config", None))
-    for key in (
-        "data",
-        "target",
-        "strategy",
-        "mode",
-        "seed",
-        "test_fraction",
-        "min_support",
-        "uncommon_policy",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
-    if getattr(args, "group_signals_only", False):
-        config.include_base_signals = False
-    learner_flags = {
-        "kind": getattr(args, "learner", None),
-        "ridge_lambda": getattr(args, "ridge_lambda", None),
-        "tree_max_depth": getattr(args, "tree_max_depth", None),
-        "tree_min_leaf": getattr(args, "tree_min_leaf", None),
-    }
-    for key, value in learner_flags.items():
-        if value is not None:
-            config.learner[key] = value
-    if getattr(args, "standardize", False):
-        config.learner["standardize"] = True
-    if getattr(args, "coalesce", None):
-        config.coalesce = list(config.coalesce) + list(args.coalesce)
-    for flag, key in (
-        ("model_out", "model_out"),
-        ("manifest_out", "manifest_out"),
-        ("out_json", "report_out"),
-        ("out_table", "table_out"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(config, key, value)
-    return config
-
-
 def _load_input(config: RunConfig, need_target: bool = True) -> Dataset:
     if not config.data:
         raise InputError("no input data file given (use --data or the config)")
@@ -128,6 +86,10 @@ def _strata_from_manifest(manifest) -> list[SubsetSpec]:
                 "malformed strata manifest: each entry needs a name and a list "
                 f"of signal names, got {entry!r}"
             )
+        if any(s.name == entry["name"] for s in strata):
+            raise InputError(
+                f"malformed strata manifest: repeated stratum name {entry['name']!r}"
+            )
         try:
             strata.append(SubsetSpec(entry["name"], tuple(entry["features"])))
         except ValueError as exc:
@@ -139,7 +101,7 @@ def _strata_from_manifest(manifest) -> list[SubsetSpec]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _apply_config(args)
+    config = load_run_config(args.config, vars(args))
     dataset = _load_input(config)
     patterns = pattern_summary(dataset)
     groups = resolve_groups(dataset, config.groups)
@@ -159,10 +121,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         label = ", ".join(sorted(r.groups_present)) or "<none>"
         print(f"  {r.count:>7}  {{{label}}}")
 
-    out = args.out or config.report_out
-    if out:
+    if config.report_out:
         _write_json(
-            out,
+            config.report_out,
             {
                 "n_rows": dataset.n_rows,
                 "signals": list(dataset.signals),
@@ -184,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    config = _apply_config(args)
+    config = load_run_config(args.config, vars(args))
     dataset = _load_input(config)
     specs, _ = build_subset_specs(dataset, config.strategy_options())
     manifest = _spec_manifest(dataset, specs)
@@ -193,14 +154,13 @@ def cmd_subset(args: argparse.Namespace) -> int:
             f"{entry['name']}: {entry['n_rows']} rows x "
             f"{len(entry['features'])} features ({', '.join(entry['features'])})"
         )
-    out = args.out or config.manifest_out
-    if out:
-        _write_json(out, manifest)
+    if config.manifest_out:
+        _write_json(config.manifest_out, manifest)
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _apply_config(args)
+    config = load_run_config(args.config, vars(args))
     dataset = _load_input(config)
     specs, _ = build_subset_specs(dataset, config.strategy_options())
     learner = config.learner_config()
@@ -221,11 +181,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    config = _apply_config(args)
+    config = load_run_config(args.config, vars(args))
     model = load_model(args.model)
     config.target = config.target or model.target
     table = _load_input(config, need_target=False)
-    out = args.out or config.predictions_out
+    out = config.predictions_out
     if not out:
         raise InputError("no predictions output path (use --out or the config)")
     values, fired = model.predict_dataset(table)
@@ -245,7 +205,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _apply_config(args)
+    config = load_run_config(args.config, vars(args))
     model = load_model(args.model)
     config.target = config.target or model.target
     dataset = _load_input(config)
@@ -271,26 +231,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"{metrics.skipped_no_stratum} without stratum, "
         f"{metrics.overall.n_no_model} without applicable model"
     )
-    out = args.out or config.report_out
-    if out:
-        _write_json(out, metrics.to_dict())
+    if config.report_out:
+        _write_json(config.report_out, metrics.to_dict())
     return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    config = load_run_config(None, vars(args))
     if args.layout:
         with open(args.layout, "r", encoding="utf-8") as fh:
             layout = layout_from_dict(json.load(fh))
     else:
         layout = default_layout()
-    dataset = generate(GenSpec(layout, args.rows, args.seed if args.seed is not None else 0))
-    write_csv(dataset, args.out)
-    print(f"wrote {dataset.n_rows} rows x {len(dataset.signals)} signals to {args.out}")
+    dataset = generate(GenSpec(layout, args.rows, config.seed))
+    write_csv(dataset, config.data)
+    print(f"wrote {dataset.n_rows} rows x {len(dataset.signals)} signals to {config.data}")
     return 0
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    config = _apply_config(args)
+    config = load_run_config(args.config, vars(args))
     if args.synthetic:
         layout = default_layout()
         dataset = generate(GenSpec(layout, args.rows, config.seed))
@@ -304,10 +264,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     else:
         dataset = _load_input(config)
 
-    learner = benchmark_learner_config(
-        config.learner.get("kind", "ridge"),
-        **{k: v for k, v in config.learner.items() if k != "kind"},
-    )
+    learner = benchmark_learner_config(**config.learner)
     report = run_benchmark(
         dataset,
         config.strategy_options(),
@@ -343,23 +300,21 @@ def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=["grouped", "routes", "auto"])
     p.add_argument(
         "--group-signals-only",
-        action="store_true",
+        action="store_const",
+        const=False,
+        dest="include_base_signals",
         help="grouped strategy: subsets use only the group's own signals",
     )
-    p.add_argument("--min-support", type=float, dest="min_support")
-    p.add_argument(
-        "--uncommon-policy",
-        choices=["drop", "merge_common"],
-        dest="uncommon_policy",
-    )
+    p.add_argument("--min-support", type=float)
+    p.add_argument("--uncommon-policy", choices=["drop", "merge_common"])
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", choices=["mean", "ridge", "tree"])
-    p.add_argument("--ridge-lambda", type=float, dest="ridge_lambda")
-    p.add_argument("--tree-max-depth", type=int, dest="tree_max_depth")
-    p.add_argument("--tree-min-leaf", type=int, dest="tree_min_leaf")
-    p.add_argument("--standardize", action="store_true")
+    p.add_argument("--learner", dest="kind", choices=["mean", "ridge", "tree"])
+    p.add_argument("--ridge-lambda", type=float)
+    p.add_argument("--tree-max-depth", type=int)
+    p.add_argument("--tree-min-leaf", type=int)
+    p.add_argument("--standardize", action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,13 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="summarize missingness structure")
     _add_common_data_flags(p)
-    p.add_argument("--out", help="write the JSON report here")
+    p.add_argument("--out", dest="report_out", help="write the JSON report here")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("subset", help="build subset specs and report them")
     _add_common_data_flags(p)
     _add_strategy_flags(p)
-    p.add_argument("--out", help="write the subset manifest (JSON) here")
+    p.add_argument(
+        "--out", dest="manifest_out", help="write the subset manifest (JSON) here"
+    )
     p.set_defaults(func=cmd_subset)
 
     p = sub.add_parser("train", help="train an ensemble model")
@@ -386,27 +343,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategy_flags(p)
     _add_learner_flags(p)
     p.add_argument("--mode", choices=["boosting", "bagging"])
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--manifest-out", dest="manifest_out")
+    p.add_argument("--model-out")
+    p.add_argument("--manifest-out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict rows with a saved model")
     _add_common_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="predictions_out", help="write predictions (CSV) here")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="stratified MAE/R2 of a saved model")
     _add_common_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--strata", help="subset manifest defining the strata")
-    p.add_argument("--out", help="write metrics JSON here")
+    p.add_argument("--out", dest="report_out", help="write metrics JSON here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="generate a synthetic plant dataset")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="data", required=True)
     p.add_argument("--rows", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layout", help="JSON layout file (default: built-in plant)")
     p.set_defaults(func=cmd_generate)
 
@@ -419,14 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["boosting", "bagging"])
     p.add_argument("--synthetic", action="store_true", help="use generated plant data")
     p.add_argument("--rows", type=int, default=10000)
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
-    p.add_argument("--out-json", dest="out_json")
-    p.add_argument("--out-table", dest="out_table")
+    p.add_argument("--test-fraction", type=float)
+    p.add_argument("--out-json", dest="report_out")
+    p.add_argument("--out-table", dest="table_out")
     p.set_defaults(func=cmd_benchmark)
 
     for sp in sub.choices.values():
-        if any(a.dest == "seed" for a in sp._actions):
-            continue
         sp.add_argument("--seed", type=int, help="seed for splits and generation")
     return parser
 

@@ -1,4 +1,10 @@
-"""Run configuration: one JSON document, overridable by CLI flags.
+"""Run configuration: one JSON document merged with the CLI flags.
+
+``load_run_config`` builds a ``RunConfig`` in one pass: the field
+defaults, then the config file, then every flag whose value is not
+None, then one value check. A flag's argparse ``dest`` is the name of
+the ``RunConfig`` or ``LearnerConfig`` field it sets; repeatable flags
+extend the file's list. Every failure is a ``ConfigError`` (exit 2).
 
 Recognized keys (all optional unless a command needs them):
 
@@ -13,7 +19,7 @@ Recognized keys (all optional unless a command needs them):
                            "tree_min_leaf", "standardize"}
     mode                  "boosting" | "bagging"
     seed                  int, drives the train/test split and generation
-    test_fraction         float
+    test_fraction         float in [0, 1]
     coalesce              ["MERGED=SRC1,SRC2", ...]
     model_out, manifest_out, report_out, predictions_out, table_out
                           output paths used by the commands
@@ -24,8 +30,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
+from .ensemble import ENSEMBLE_MODES
 from .errors import ConfigError
 from .learners import LearnerConfig, is_name_list
 from .subsetting import StrategyOptions
@@ -61,37 +68,62 @@ class RunConfig:
             uncommon_policy=self.uncommon_policy,
         )
 
-    def learner_config(self, **defaults: Any) -> LearnerConfig:
-        merged = dict(defaults)
-        merged.update(self.learner)
-        unknown = set(merged) - set(LearnerConfig.__dataclass_fields__)
+    def learner_config(self) -> LearnerConfig:
+        unknown = set(self.learner) - set(LearnerConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown learner options: {sorted(unknown)}")
         try:
-            return LearnerConfig(**merged)
+            return LearnerConfig(**self.learner)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
+    def check(self) -> None:
+        """Raise ConfigError for a setting no command can run with."""
+        if self.mode not in ENSEMBLE_MODES:
+            raise ConfigError(
+                f"mode must be one of {list(ENSEMBLE_MODES)}, got {self.mode!r}"
+            )
+        if not 0.0 <= self.test_fraction <= 1.0:
+            raise ConfigError(
+                f"test_fraction must be within [0, 1], got {self.test_fraction!r}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        self.learner_config()
 
-def load_run_config(path: str | Path | None) -> RunConfig:
+
+def load_run_config(
+    path: str | Path | None, flags: Mapping[str, Any] | None = None
+) -> RunConfig:
+    """Defaults, then the file at ``path``, then the non-None ``flags``.
+
+    Flags that name no RunConfig or LearnerConfig field are ignored.
+    """
     config = RunConfig()
-    if path is None:
-        return config
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    for key, value in doc.items():
-        _check_type(path, key, value)
-        setattr(config, key, value)
-    config.learner_config()  # reject bad learner options before any work
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
+        unknown = set(doc) - set(RunConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
+        for key, value in doc.items():
+            _check_type(path, key, value)
+            setattr(config, key, value)
+    for key, value in (flags or {}).items():
+        if value is None:
+            continue
+        if key in LearnerConfig.__dataclass_fields__:
+            config.learner[key] = value
+        elif key in RunConfig.__dataclass_fields__:
+            if isinstance(value, list):  # a repeatable flag extends the file's list
+                value = getattr(config, key) + value
+            setattr(config, key, value)
+    config.check()
     return config
 
 

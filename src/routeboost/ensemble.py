@@ -228,7 +228,9 @@ def train_boosting_branched(
     for spec in ordered[1:]:
         if not ordered[0].feature_set < spec.feature_set:
             raise NotNested(
-                f"branch {spec.name!r} does not contain the base features"
+                f"boosting needs the narrowest subset {ordered[0].name!r} inside "
+                f"every other subset, but {spec.name!r} does not contain it "
+                "(bagging fits subsets that are not nested)"
             )
     parents = [None] + [(0,)] * (len(ordered) - 1)
     names = ["base"] + [spec.name for spec in ordered[1:]]

@@ -355,9 +355,10 @@ def is_name_list(value) -> bool:
 
 
 def signal_names(value) -> tuple[str, ...]:
-    """A JSON list of signal names as a tuple; TypeError for anything else."""
+    """A JSON list of names as a tuple; TypeError for anything else,
+    including a string, which would otherwise split into characters."""
     if not is_name_list(value):
-        raise TypeError(f"expected a list of signal names, got {value!r}")
+        raise TypeError(f"expected a list of names, got {value!r}")
     return tuple(value)
 
 

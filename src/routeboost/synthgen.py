@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data import Dataset, SignalId
 from .errors import InvalidLayout
+from .learners import is_name_list, signal_names
 
 PROBABILITY_TOL = 1e-9
 
@@ -36,17 +38,21 @@ class SignalSpec:
     dist: tuple
 
     def validate(self) -> None:
-        kind = self.dist[0] if self.dist else None
-        if kind == "normal":
-            _, _, sd = self.dist
-            if sd < 0:
-                raise InvalidLayout(f"signal {self.name!r}: negative sd")
-        elif kind == "uniform":
-            _, lo, hi = self.dist
-            if hi < lo:
-                raise InvalidLayout(f"signal {self.name!r}: empty uniform range")
-        else:
+        kind, *params = self.dist or (None,)
+        if kind not in ("normal", "uniform"):
             raise InvalidLayout(f"signal {self.name!r}: unknown distribution {kind!r}")
+        if len(params) != 2 or not all(_is_number(p) for p in params):
+            raise InvalidLayout(
+                f"signal {self.name!r}: {kind} needs two numbers, got {params!r}"
+            )
+        if kind == "normal" and params[1] < 0:
+            raise InvalidLayout(f"signal {self.name!r}: negative sd")
+        if kind == "uniform" and params[1] < params[0]:
+            raise InvalidLayout(f"signal {self.name!r}: empty uniform range")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -84,9 +90,12 @@ class PlantLayout:
 
     def validate(self) -> None:
         unit_names = [u.name for u in self.units]
+        signals = self.signal_names()
+        names = unit_names + signals + [r.name for r in self.routes]
+        if not is_name_list(names + [self.target_rule.target]):
+            raise InvalidLayout("unit, route, signal and target names must be strings")
         if len(set(unit_names)) != len(unit_names):
             raise InvalidLayout("unit names must be unique")
-        signals = self.signal_names()
         if len(set(signals)) != len(signals):
             raise InvalidLayout("signal names must be globally unique")
         if self.target_rule.target in signals:
@@ -288,7 +297,7 @@ def layout_from_dict(d: dict) -> PlantLayout:
             for u in d["units"]
         )
         routes = tuple(
-            Route(r["name"], tuple(r["units"]), float(r["probability"]))
+            Route(r["name"], signal_names(r["units"]), float(r["probability"]))
             for r in d["routes"]
         )
         rule = d["target_rule"]
@@ -302,9 +311,9 @@ def layout_from_dict(d: dict) -> PlantLayout:
                 float(rule["noise_sigma"]),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        layout.validate()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidLayout(f"malformed layout document: {exc}") from None
-    layout.validate()
     return layout
 
 

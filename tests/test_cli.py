@@ -396,8 +396,13 @@ class TestMalformedConfig:
             ({"test_fraction": "x"}, "'test_fraction' must be float"),
             ({"learner": {"ridge_lambda": "x"}}, "'ridge_lambda' must be float"),
             ({"groups": {"a": "PLTCM_1"}}, "groups 'a' is not a list of signal names"),
+            ({"test_fraction": 2}, "test_fraction must be within [0, 1], got 2"),
+            ({"mode": "foo"}, "mode must be one of ['boosting', 'bagging'], got 'foo'"),
         ],
-        ids=["seed", "test-fraction", "ridge-lambda", "group-string"],
+        ids=[
+            "seed", "test-fraction", "ridge-lambda", "group-string",
+            "test-fraction-range", "mode",
+        ],
     )
     def test_exit_2(self, steel_csv, tmp_path, capsys, doc, message):
         config = tmp_path / "config.json"
@@ -411,11 +416,64 @@ class TestMalformedConfig:
         assert message in one_line_error(code, capsys)
 
 
+    def test_train_rejects_unknown_mode(self, toy6_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": "foo"}), encoding="utf-8")
+        model = tmp_path / "model.json"
+        code = main(
+            [
+                "train", "--config", str(config), "--data", toy6_csv,
+                "--target", "Y", "--model-out", str(model),
+            ]
+        )
+        assert "mode must be one of" in one_line_error(code, capsys)
+        assert not model.exists()
+
+
+class TestMalformedFlags:
+    """Flag values pass the same check as config values."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tree-max-depth", "0"], "tree_max_depth and tree_min_leaf must be >= 1"),
+            (["--ridge-lambda", "-1"], "ridge_lambda must be non-negative"),
+            (["--test-fraction", "-0.5"], "test_fraction must be within [0, 1], got -0.5"),
+            (["--seed", "-1"], "seed must be non-negative, got -1"),
+        ],
+        ids=["tree-depth", "ridge-lambda", "test-fraction", "seed"],
+    )
+    def test_benchmark_exit_2(self, toy6_csv, capsys, flags, message):
+        code = main(["benchmark", "--data", toy6_csv, "--target", "Y", *flags])
+        assert message in one_line_error(code, capsys)
+
+    def test_flag_overrides_bad_config_value(self, toy6_csv, tmp_path, capsys):
+        # The check runs once, after the merge: a flag can mend a file value.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"test_fraction": 2}), encoding="utf-8")
+        code = main(
+            [
+                "benchmark", "--config", str(config), "--data", toy6_csv,
+                "--target", "Y", "--test-fraction", "0.5",
+            ]
+        )
+        assert code == 0
+
+
 class TestMalformedStrata:
     @pytest.mark.parametrize(
         "doc",
-        [[1], {"a": 1}, [{"name": "x"}], [{"name": "x", "features": []}]],
-        ids=["not-an-object", "not-a-list", "no-features", "empty-features"],
+        [
+            [1],
+            {"a": 1},
+            [{"name": "x"}],
+            [{"name": "x", "features": []}],
+            [{"name": "x", "features": ["A"]}, {"name": "x", "features": ["A", "C"]}],
+        ],
+        ids=[
+            "not-an-object", "not-a-list", "no-features", "empty-features",
+            "repeated-name",
+        ],
     )
     def test_exit_2(self, toy6_csv, tmp_path, capsys, doc):
         model = tmp_path / "model.json"
@@ -432,3 +490,72 @@ class TestMalformedStrata:
             ]
         )
         assert "malformed strata manifest" in one_line_error(code, capsys)
+
+
+def layout_with(change) -> dict:
+    from routeboost.synthgen import layout_to_dict
+
+    doc = layout_to_dict(default_layout())
+    change(doc)
+    return doc
+
+
+def set_dist(dist):
+    return lambda doc: doc["units"][0]["signals"][0].update(dist=dist)
+
+
+class TestMalformedLayout:
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (set_dist(["normal", 0.0, "x"]), "normal needs two numbers"),
+            (set_dist(["normal", "a", 1.0]), "normal needs two numbers"),
+            (set_dist(["normal", 0.0]), "normal needs two numbers"),
+            (lambda doc: doc["target_rule"].update(target=["Y"]), "must be strings"),
+            (
+                lambda doc: doc["routes"][0].update(units="PLTCM"),
+                "expected a list of names, got 'PLTCM'",
+            ),
+        ],
+        ids=["sd-string", "mean-string", "two-element-dist", "target-list", "units-string"],
+    )
+    def test_exit_2(self, tmp_path, capsys, change, message):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(layout_with(change)), encoding="utf-8")
+        out = tmp_path / "plant.csv"
+        code = main(["generate", "--out", str(out), "--rows", "20", "--layout", str(layout)])
+        assert message in one_line_error(code, capsys)
+        assert not out.exists()
+
+
+class TestSettingsFromConfig:
+    def test_predict_writes_config_predictions_out(self, toy6_csv, tmp_path):
+        model = tmp_path / "model.json"
+        doc = {"mode": "boosting", "target": "Y", "members": [MEAN_MEMBER]}
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "pred.csv"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"predictions_out": str(out)}), encoding="utf-8")
+        code = main(
+            ["predict", "--config", str(config), "--data", toy6_csv, "--model", str(model)]
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "1.0,base,"
+
+    def test_predict_without_output_path_exit_2(self, toy6_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        doc = {"mode": "boosting", "target": "Y", "members": [MEAN_MEMBER]}
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["predict", "--data", toy6_csv, "--model", str(model)])
+        assert "no predictions output path" in one_line_error(code, capsys)
+
+    def test_group_only_boosting_names_both_subsets(self, steel_csv, tmp_path, capsys):
+        code = main(
+            [
+                "train", "--data", steel_csv, "--target", "Y",
+                "--group-signals-only", "--model-out", str(tmp_path / "m.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "narrowest subset 'r" in err and "but 'base' does not contain it" in err
