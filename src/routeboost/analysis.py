@@ -44,6 +44,21 @@ def ensure_disjoint_groups(groups: Sequence[SignalGroup]) -> None:
             seen[s] = g.name
 
 
+def _unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-empty bool matrix and how often each occurs.
+
+    Each row is packed into bytes and compared as one opaque key, which
+    avoids the column-by-column row sort of ``np.unique(axis=0)``. The
+    order of the distinct rows is unspecified.
+    """
+    packed = np.packbits(mask, axis=1)
+    if packed.shape[1] == 0:  # no columns: every row is the same empty row
+        return mask[:1], np.array([mask.shape[0]])
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return mask[first], counts
+
+
 def pattern_summary(dataset: Dataset) -> list[AvailabilityPattern]:
     """Distinct availability patterns, most frequent first.
 
@@ -53,7 +68,7 @@ def pattern_summary(dataset: Dataset) -> list[AvailabilityPattern]:
     mask = dataset.availability_mask()
     if dataset.n_rows == 0:
         return []
-    uniq, counts = np.unique(mask, axis=0, return_counts=True)
+    uniq, counts = _unique_rows(mask)
     patterns = []
     for row, count in zip(uniq, counts):
         names = frozenset(s for s, ok in zip(dataset.signals, row) if ok)
@@ -114,7 +129,7 @@ def route_frequencies(
     group_ok = np.column_stack(
         [mask[:, [dataset.index(s) for s in g.members]].all(axis=1) for g in groups]
     )
-    uniq, counts = np.unique(group_ok, axis=0, return_counts=True)
+    uniq, counts = _unique_rows(group_ok)
     patterns = []
     for row, count in zip(uniq, counts):
         names = frozenset(g.name for g, ok in zip(groups, row) if ok)

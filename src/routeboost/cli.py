@@ -28,7 +28,7 @@ from .benchmark import benchmark_learner_config, run_benchmark, train_proposed
 from .config import RunConfig, load_run_config, parse_coalesce
 from .data import Dataset, coalesce_signals, load_dataset, load_table, write_csv
 from .ensemble import evaluate, load_model, save_model
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InvalidLayout
 from .learners import is_name_list
 from .subsetting import (
     SubsetSpec,
@@ -85,10 +85,6 @@ def _strata_from_manifest(manifest) -> list[SubsetSpec]:
             raise InputError(
                 "malformed strata manifest: each entry needs a name and a list "
                 f"of signal names, got {entry!r}"
-            )
-        if any(s.name == entry["name"] for s in strata):
-            raise InputError(
-                f"malformed strata manifest: repeated stratum name {entry['name']!r}"
             )
         try:
             strata.append(SubsetSpec(entry["name"], tuple(entry["features"])))
@@ -210,11 +206,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config.target = config.target or model.target
     dataset = _load_input(config)
     if args.strata:
-        with open(args.strata, "r", encoding="utf-8") as fh:
-            strata = _strata_from_manifest(json.load(fh))
+        try:
+            with open(args.strata, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(
+                f"malformed strata manifest: {args.strata} is not UTF-8 text ({exc})"
+            ) from None
+        strata = _strata_from_manifest(doc)
     else:
         strata = [SubsetSpec(m.name, m.features) for m in model.members]
-    metrics = evaluate(model, dataset, strata)
+    try:
+        metrics = evaluate(model, dataset, strata)
+    except ValueError as exc:  # repeated stratum names
+        source = "strata manifest" if args.strata else "model"
+        raise InputError(f"malformed {source}: {exc}") from None
 
     names = [name for name, _ in metrics.strata] + ["overall"]
     rows = [row for _, row in metrics.strata] + [metrics.overall]
@@ -239,8 +245,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_run_config(None, vars(args))
     if args.layout:
-        with open(args.layout, "r", encoding="utf-8") as fh:
-            layout = layout_from_dict(json.load(fh))
+        try:
+            with open(args.layout, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidLayout(
+                f"malformed layout document: {args.layout} is not UTF-8 text ({exc})"
+            ) from None
+        layout = layout_from_dict(doc)
     else:
         layout = default_layout()
     dataset = generate(GenSpec(layout, args.rows, config.seed))

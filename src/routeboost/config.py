@@ -106,6 +106,8 @@ def load_run_config(
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         unknown = set(doc) - set(RunConfig.__dataclass_fields__)

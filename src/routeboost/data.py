@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -173,29 +174,67 @@ def _parse_cell(field: str, line_no: int, col: str) -> float:
     return value
 
 
-def load_table(path: str | Path) -> Dataset:
-    """Read a CSV file into a target-less dataset."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+# Records converted (read) or lines formatted (write) per step; bounds the
+# text and Python objects held at once.
+CSV_BLOCK_ROWS = 4096
+
+
+def _parse_block(
+    block: list[list[str]], header: list[str], first_line: int, path: str | Path
+) -> np.ndarray:
+    """One block of records as a (len(block), len(header)) float array."""
+    width = len(header)
+    if all(len(record) == width for record in block):
+        fields = list(chain.from_iterable(block))
+        present = np.fromiter(map(bool, fields), bool, len(fields))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            dupes = sorted({s for s in header if header.count(s) > 1})
-            raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
-        for name in header:
-            _check_signal_name(name)
-        rows = []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise MalformedCsv(
-                    f"{path}: line {line_no} has {len(record)} fields, "
-                    f"expected {len(header)}"
-                )
-            rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
-    return Dataset(tuple(header), values)
+            parsed = np.fromiter(
+                map(float, filter(None, fields)), np.float64, int(present.sum())
+            )
+        except ValueError:
+            parsed = None
+        if parsed is not None and np.isfinite(parsed).all():
+            values = np.full(len(fields), np.nan)
+            values[present] = parsed
+            return values.reshape(len(block), width)
+    # Some record is malformed: walk the block line by line, so the error
+    # names the first bad line and column in file order.
+    rows = []
+    for line_no, record in enumerate(block, start=first_line):
+        if len(record) != width:
+            raise MalformedCsv(
+                f"{path}: line {line_no} has {len(record)} fields, expected {width}"
+            )
+        rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
+    return np.array(rows, dtype=np.float64).reshape(len(block), width)
+
+
+def load_table(path: str | Path) -> Dataset:
+    """Read a CSV file into a target-less dataset.
+
+    Records are parsed in blocks of ``CSV_BLOCK_ROWS``; an error names the
+    first bad line and column in file order.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MalformedCsv(f"{path}: empty file") from None
+            if len(set(header)) != len(header):
+                dupes = sorted({s for s in header if header.count(s) > 1})
+                raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
+            for name in header:
+                _check_signal_name(name)
+            blocks = [np.empty((0, len(header)))]
+            line_no = 2
+            while block := list(islice(reader, CSV_BLOCK_ROWS)):
+                blocks.append(_parse_block(block, header, line_no, path))
+                line_no += len(block)
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(f"{path}: not UTF-8 text ({exc})") from None
+    return Dataset(tuple(header), np.concatenate(blocks))
 
 
 def load_dataset(path: str | Path, target: SignalId) -> Dataset:
@@ -210,13 +249,18 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV; missing cells become empty fields.
 
     Values are formatted with ``repr`` so a reload reproduces them
-    bit-for-bit.
+    bit-for-bit. Lines are formatted in blocks of ``CSV_BLOCK_ROWS``.
     """
+    # ``repr`` spells only NaN "nan". csv.writer quotes a row made of one
+    # empty field, so a missing cell of a one-column table is written '""'.
+    missing = '""' if len(dataset.signals) == 1 else ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(dataset.signals)
-        for row in dataset.values:
-            writer.writerow(["" if math.isnan(v) else repr(float(v)) for v in row])
+        for start in range(0, dataset.n_rows, CSV_BLOCK_ROWS):
+            rows = dataset.values[start:start + CSV_BLOCK_ROWS].tolist()
+            text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+            fh.write(text.replace("nan", missing))
 
 
 def coalesce_signals(

@@ -326,15 +326,18 @@ def evaluate(
 
     R-squared uses each stratum's own target mean; a constant-target
     stratum reports it as undefined (None) while the MAE is still
-    computed.
+    computed. Stratum names must not repeat.
     """
     if dataset.target is None:
         raise ValueError("evaluate requires a dataset with a target")
+    names = [s.name for s in strata]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"repeated stratum name {name!r}")
     mask = dataset.availability_mask()
     has_target = mask[:, dataset.index(dataset.target)]
     # Each row goes to the first stratum, largest feature set first, whose
-    # signals are all present; strata sharing a name share their rows.
-    names = list(dict.fromkeys(s.name for s in strata))
+    # signals are all present.
     assigned = np.full(dataset.n_rows, -1)
     for spec in sorted(strata, key=lambda s: (-len(s.features), s.name)):
         if not spec.feature_set <= set(dataset.signals):
@@ -422,5 +425,9 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"malformed model: {path} is not UTF-8 text ({exc})") from None
+    return model_from_dict(doc)

@@ -6,14 +6,20 @@ missing, and the target is a linear function of the traversed signals
 plus Gaussian noise. Missingness is therefore exactly route-determined,
 the structure that route-aware ensembles exploit.
 
-Randomness is counter-based (Philox) with one substream per (seed, row),
-so streams are reproducible across platforms and generating more rows
-never reshuffles earlier ones.
+Randomness is counter-based (Philox; Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): row i of a dataset with seed s
+reads its own stream, keyed ``(s << 64) | i`` with counter 0. A row
+draws the route pick, then one value per traversed signal in unit
+order, then the target noise. Draws of adjacent same-kind signals are
+issued as one call, which consumes the stream exactly as one call per
+signal would. Streams are therefore reproducible across platforms, and
+generating more rows never reshuffles earlier ones.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Mapping, Sequence
@@ -209,18 +215,30 @@ def default_layout(noise_sigma: float | None = None) -> PlantLayout:
     return layout
 
 
-def _row_rng(seed: int, row: int) -> np.random.Generator:
-    # 128-bit Philox key: high word = dataset seed, low word = row index.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(row)))
+def _route_draws(layout: PlantLayout, route: Route) -> list[SignalSpec]:
+    """The signals a route's rows draw, in stream order."""
+    traversed = set(route.units)
+    return [sig for unit in layout.units if unit.name in traversed for sig in unit.signals]
 
 
-def _sample(sig: SignalSpec, rng: np.random.Generator) -> float:
-    kind = sig.dist[0]
-    if kind == "normal":
-        _, mean, sd = sig.dist
-        return float(mean + sd * rng.standard_normal())
-    _, lo, hi = sig.dist
-    return float(lo + (hi - lo) * rng.random())
+def _draw_plan(layout: PlantLayout, route: Route, col_index: Mapping[SignalId, int]):
+    """The route's draws in stream order, as runs ``(is_normal, start, stop)``.
+
+    A run is a block of adjacent columns whose signals share a kind, so
+    one ``standard_normal`` or ``random`` call fills it in place. The
+    noise draw goes to the target column, the last one.
+    """
+    draws = [
+        (sig.dist[0] == "normal", col_index[sig.name]) for sig in _route_draws(layout, route)
+    ]
+    draws.append((True, col_index[layout.target_rule.target]))
+    runs: list[list] = []
+    for is_normal, col in draws:
+        if runs and runs[-1][0] == is_normal and runs[-1][2] == col:
+            runs[-1][2] = col + 1
+        else:
+            runs.append([is_normal, col, col + 1])
+    return runs
 
 
 def generate(spec: GenSpec) -> Dataset:
@@ -231,26 +249,44 @@ def generate(spec: GenSpec) -> Dataset:
     target = layout.target_rule.target
     columns = tuple(signals) + (target,)
     col_index = {name: j for j, name in enumerate(columns)}
-    cum = np.cumsum([r.probability for r in layout.routes])
+    cum = np.cumsum([r.probability for r in layout.routes]).tolist()
+    last_route = len(layout.routes) - 1
+    plans = [_draw_plan(layout, route, col_index) for route in layout.routes]
     values = np.full((spec.n_rows, len(columns)), np.nan)
-    coeffs = layout.target_rule.coefficients
+    route_of = np.empty(spec.n_rows, dtype=np.intp)
+
+    # One Philox stream per row, keyed (seed << 64) | row with counter 0:
+    # resetting a single bit generator to that state replaces building one.
+    bitgen = np.random.Philox(key=0)
+    fresh = bitgen.state
+    fresh["state"]["key"][1] = spec.seed
+    rng = np.random.Generator(bitgen)
     for i in range(spec.n_rows):
-        rng = _row_rng(spec.seed, i)
-        pick = rng.random()
-        route_idx = int(np.searchsorted(cum, pick, side="right"))
-        route_idx = min(route_idx, len(layout.routes) - 1)
-        route = layout.routes[route_idx]
-        traversed = set(route.units)
-        total = layout.target_rule.intercept
-        for unit in layout.units:
-            if unit.name not in traversed:
-                continue
-            for sig in unit.signals:
-                value = _sample(sig, rng)
-                values[i, col_index[sig.name]] = value
-                total += coeffs.get(sig.name, 0.0) * value
-        noise = float(rng.standard_normal())
-        values[i, col_index[target]] = total + layout.target_rule.noise_sigma * noise
+        fresh["state"]["key"][0] = i
+        bitgen.state = fresh
+        r = min(bisect_right(cum, rng.random()), last_route)
+        route_of[i] = r
+        for is_normal, start, stop in plans[r]:
+            draw = rng.standard_normal if is_normal else rng.random
+            draw(out=values[i, start:stop])
+
+    # Turn the raw draws into values and the target, route by route, with
+    # the same operations in the same order as a row-at-a-time sum.
+    rule = layout.target_rule
+    coeffs = rule.coefficients
+    for r, route in enumerate(layout.routes):
+        rows = np.flatnonzero(route_of == r)
+        total = np.full(rows.size, float(rule.intercept))
+        for sig in _route_draws(layout, route):
+            j = col_index[sig.name]
+            kind, first, second = sig.dist
+            # mean + sd * z, or lo + (hi - lo) * u
+            scale = second if kind == "normal" else second - first
+            v = float(first) + float(scale) * values[rows, j]
+            values[rows, j] = v
+            total = total + float(coeffs.get(sig.name, 0.0)) * v
+        t = col_index[target]
+        values[rows, t] = total + float(rule.noise_sigma) * values[rows, t]
     return Dataset(columns, values, target)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from routeboost.analysis import (
     SignalGroup,
+    _unique_rows,
     always_available_signals,
     infer_signal_groups,
     pattern_summary,
@@ -157,3 +158,16 @@ def test_partition_properties_hold_for_random_masks(seed):
     assert sorted(s for g in groups for s in g.members) == sorted(ds.signals)
     routes = route_frequencies(ds, groups)
     assert sum(r.count for r in routes) == ds.n_rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_packed_unique_rows_match_row_sort(n_rows, n_cols, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n_rows, n_cols)) < rng.uniform(0.0, 1.0)
+    rows, counts = _unique_rows(mask)
+    want_rows, want_counts = np.unique(mask, axis=0, return_counts=True)
+    assert dict(zip(map(bytes, rows), counts.tolist())) == dict(
+        zip(map(bytes, want_rows), want_counts.tolist())
+    )
+    assert len(rows) == len(want_rows)

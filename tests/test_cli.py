@@ -559,3 +559,37 @@ class TestSettingsFromConfig:
         err = capsys.readouterr().err
         assert code == 1
         assert "narrowest subset 'r" in err and "but 'base' does not contain it" in err
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text exits 2 with one line, whichever reader gets it."""
+
+    @pytest.mark.parametrize(
+        "reader,message",
+        [
+            ("csv", "not UTF-8 text"),
+            ("model", "malformed model"),
+            ("config", "not UTF-8 text"),
+            ("layout", "malformed layout document"),
+            ("strata", "malformed strata manifest"),
+        ],
+    )
+    def test_exit_2(self, toy6_csv, tmp_path, capsys, reader, message):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"x": "\xff"}\n' if reader != "csv" else b"A,Y\n1,\xff2\n")
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps({"mode": "boosting", "target": "Y", "members": [MEAN_MEMBER]}),
+            encoding="utf-8",
+        )
+        argv = {
+            "csv": ["analyze", "--data", str(bad), "--target", "Y"],
+            "model": ["predict", "--data", toy6_csv, "--model", str(bad), "--out", str(model)],
+            "config": ["analyze", "--config", str(bad), "--data", toy6_csv, "--target", "Y"],
+            "layout": ["generate", "--out", str(tmp_path / "g.csv"), "--layout", str(bad)],
+            "strata": [
+                "evaluate", "--data", toy6_csv, "--model", str(model), "--strata", str(bad),
+            ],
+        }[reader]
+        err = one_line_error(main(argv), capsys)
+        assert message in err and "can't decode byte 0xff" in err

@@ -272,6 +272,12 @@ class TestEvaluate:
         assert row.n == 3  # C-rows predictable, D-rows have no applicable model
         assert row.n_no_model == 3
 
+    def test_repeated_stratum_name_rejected(self, toy6):
+        model = EnsembleModel("boosting", "Y", (constant_member("base", ("A",), 1.0),))
+        strata = [SubsetSpec("s", ("A",)), SubsetSpec("t", ("C",)), SubsetSpec("s", ("A", "C"))]
+        with pytest.raises(ValueError, match="repeated stratum name 's'"):
+            evaluate(model, toy6, strata)
+
 
 class TestSplit:
     def test_deterministic_and_disjoint(self):
