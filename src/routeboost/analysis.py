@@ -33,7 +33,8 @@ class RoutePattern:
     count: int
 
 
-def ensure_disjoint_groups(groups: Sequence[SignalGroup]) -> None:
+def check_groups(dataset: Dataset, groups: Sequence[SignalGroup]) -> None:
+    """Raise unless the groups are disjoint and name only signals of ``dataset``."""
     seen: dict[SignalId, str] = {}
     for g in groups:
         for s in g.members:
@@ -41,6 +42,8 @@ def ensure_disjoint_groups(groups: Sequence[SignalGroup]) -> None:
                 raise OverlappingGroups(
                     f"signal {s!r} belongs to groups {seen[s]!r} and {g.name!r}"
                 )
+            if s not in dataset.signals:
+                raise UnknownSignal(f"group {g.name!r} references unknown signal {s!r}")
             seen[s] = g.name
 
 
@@ -59,22 +62,32 @@ def _unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mask[first], counts
 
 
+def _count_patterns(
+    mask: np.ndarray, names: Sequence[str]
+) -> list[tuple[frozenset[str], int]]:
+    """Distinct rows of ``mask`` as sets of column ``names`` with their
+    counts, most frequent first, ties in the order of the sorted names."""
+    if mask.shape[0] == 0:
+        return []
+    uniq, counts = _unique_rows(mask)
+    patterns = [
+        (frozenset(n for n, ok in zip(names, row) if ok), int(count))
+        for row, count in zip(uniq, counts)
+    ]
+    patterns.sort(key=lambda p: (-p[1], tuple(sorted(p[0]))))
+    return patterns
+
+
 def pattern_summary(dataset: Dataset) -> list[AvailabilityPattern]:
     """Distinct availability patterns, most frequent first.
 
     Ties are broken by the lexicographic order of the sorted signal sets,
     so the output is stable. Counts sum to n_rows.
     """
-    mask = dataset.availability_mask()
-    if dataset.n_rows == 0:
-        return []
-    uniq, counts = _unique_rows(mask)
-    patterns = []
-    for row, count in zip(uniq, counts):
-        names = frozenset(s for s, ok in zip(dataset.signals, row) if ok)
-        patterns.append(AvailabilityPattern(names, int(count)))
-    patterns.sort(key=lambda p: (-p.count, tuple(sorted(p.present))))
-    return patterns
+    return [
+        AvailabilityPattern(present, count)
+        for present, count in _count_patterns(dataset.availability_mask(), dataset.signals)
+    ]
 
 
 def infer_signal_groups(dataset: Dataset) -> list[SignalGroup]:
@@ -103,8 +116,7 @@ def always_available_signals(dataset: Dataset) -> set[SignalId]:
 
     For a 0-row dataset this is vacuously all signals.
     """
-    mask = dataset.availability_mask()
-    complete = mask.all(axis=0) if dataset.n_rows else np.ones(len(dataset.signals), bool)
+    complete = dataset.availability_mask().all(axis=0)
     return {s for s, ok in zip(dataset.signals, complete) if ok}
 
 
@@ -116,24 +128,11 @@ def route_frequencies(
     A group counts as present in a row only if every member signal is
     present. Counts sum to n_rows.
     """
-    ensure_disjoint_groups(groups)
-    for g in groups:
-        for s in g.members:
-            if s not in dataset.signals:
-                raise UnknownSignal(f"group {g.name!r} references unknown signal {s!r}")
-    if dataset.n_rows == 0:
-        return []
-    if not groups:
-        return [RoutePattern(frozenset(), dataset.n_rows)]
-    mask = dataset.availability_mask()
-    group_ok = np.column_stack(
-        [mask[:, [dataset.index(s) for s in g.members]].all(axis=1) for g in groups]
-    )
-    uniq, counts = _unique_rows(group_ok)
-    patterns = []
-    for row, count in zip(uniq, counts):
-        names = frozenset(g.name for g, ok in zip(groups, row) if ok)
-        patterns.append(RoutePattern(names, int(count)))
-    patterns.sort(key=lambda p: (-p.count, tuple(sorted(p.groups_present))))
-    return patterns
-
+    check_groups(dataset, groups)
+    group_ok = np.zeros((dataset.n_rows, len(groups)), dtype=bool)
+    for k, g in enumerate(groups):
+        group_ok[:, k] = dataset.rows_with(g.members)
+    return [
+        RoutePattern(present, count)
+        for present, count in _count_patterns(group_ok, [g.name for g in groups])
+    ]

@@ -20,13 +20,12 @@ import numpy as np
 from . import __version__
 from .analysis import (
     always_available_signals,
-    infer_signal_groups,
     pattern_summary,
     route_frequencies,
 )
 from .benchmark import benchmark_learner_config, run_benchmark, train_proposed
 from .config import RunConfig, load_run_config, parse_coalesce
-from .data import Dataset, coalesce_signals, load_dataset, load_table, write_csv
+from .data import Dataset, coalesce_signals, load_dataset, load_table, read_json, write_csv
 from .ensemble import evaluate, load_model, save_model
 from .errors import DomainError, InputError, InvalidLayout
 from .learners import is_name_list
@@ -206,13 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config.target = config.target or model.target
     dataset = _load_input(config)
     if args.strata:
-        try:
-            with open(args.strata, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise InputError(
-                f"malformed strata manifest: {args.strata} is not UTF-8 text ({exc})"
-            ) from None
+        doc = read_json(args.strata, InputError, "malformed strata manifest")
         strata = _strata_from_manifest(doc)
     else:
         strata = [SubsetSpec(m.name, m.features) for m in model.members]
@@ -245,13 +238,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = load_run_config(None, vars(args))
     if args.layout:
-        try:
-            with open(args.layout, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise InvalidLayout(
-                f"malformed layout document: {args.layout} is not UTF-8 text ({exc})"
-            ) from None
+        doc = read_json(args.layout, InvalidLayout, "malformed layout document")
         layout = layout_from_dict(doc)
     else:
         layout = default_layout()
@@ -410,9 +397,6 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON input ({exc})", file=sys.stderr)
         return 2
 
 

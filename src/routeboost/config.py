@@ -27,11 +27,11 @@ Recognized keys (all optional unless a command needs them):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from .data import read_json
 from .ensemble import ENSEMBLE_MODES
 from .errors import ConfigError
 from .learners import LearnerConfig, is_name_list
@@ -101,13 +101,7 @@ def load_run_config(
     """
     config = RunConfig()
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        doc = read_json(path, ConfigError, "malformed config")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         unknown = set(doc) - set(RunConfig.__dataclass_fields__)

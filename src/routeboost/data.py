@@ -12,8 +12,10 @@ decimal point, empty field = missing value, LF or CRLF line endings.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import (
     CoalesceConflict,
     DuplicateSignal,
+    InputError,
     MalformedCsv,
     RowOutOfRange,
     UnknownSignal,
@@ -91,14 +94,30 @@ class Dataset:
         """Read-only value column; NaN marks missing cells."""
         return self.values[:, self.index(signal)]
 
+    @cached_property
+    def _mask(self) -> np.ndarray:
+        mask = ~np.isnan(self.values)
+        mask.flags.writeable = False
+        return mask
+
     def availability_mask(self) -> np.ndarray:
-        """Boolean (n_rows, n_signals) matrix, True where a cell is present."""
-        return ~np.isnan(self.values)
+        """Boolean (n_rows, n_signals) matrix, True where a cell is present.
+
+        It is computed on the first call and the same read-only array is
+        returned by every later one.
+        """
+        return self._mask
+
+    def rows_with(self, signals: Iterable[SignalId]) -> np.ndarray:
+        """Boolean per row: True where every one of ``signals`` is present.
+
+        No signals select every row; an unknown one raises UnknownSignal.
+        """
+        return self._mask[:, [self.index(s) for s in signals]].all(axis=1)
 
     def present_signals(self, row: int) -> set[SignalId]:
         self._check_row(row)
-        present = ~np.isnan(self.values[row])
-        return {s for s, ok in zip(self.signals, present) if ok}
+        return {s for s, ok in zip(self.signals, self._mask[row]) if ok}
 
     def row_values(self, row: int) -> dict[SignalId, float]:
         """Mapping of present signals to their values for one row."""
@@ -109,11 +128,13 @@ class Dataset:
     def project(
         self,
         keep: Iterable[SignalId],
-        rows: Iterable[int] | None = None,
+        rows: Iterable[int] | np.ndarray | None = None,
     ) -> "Dataset":
         """Select columns and rows; original row and column order is kept.
 
-        The target is retained only if it is among ``keep``.
+        ``rows`` may list indices in any order and repeat them; each
+        selected row appears once. The target is retained only if it is
+        among ``keep``.
         """
         keep_set = set(keep)
         unknown = keep_set - set(self.signals)
@@ -123,7 +144,12 @@ class Dataset:
         if rows is None:
             row_idx = np.arange(self.n_rows)
         else:
-            row_idx = np.array(sorted(set(int(r) for r in rows)), dtype=np.intp)
+            if not isinstance(rows, np.ndarray):
+                rows = list(rows)
+            row_idx = np.sort(np.asarray(rows, dtype=np.intp))
+            first = np.ones(row_idx.size, dtype=bool)
+            first[1:] = row_idx[1:] != row_idx[:-1]
+            row_idx = row_idx[first]
             if row_idx.size and (row_idx[0] < 0 or row_idx[-1] >= self.n_rows):
                 bad = row_idx[0] if row_idx[0] < 0 else row_idx[-1]
                 raise RowOutOfRange(f"row index {bad} outside [0, {self.n_rows})")
@@ -156,10 +182,21 @@ def dataset_from_columns(
     return Dataset(signals, values, target)
 
 
+# ``float`` also reads digit separators, surrounding whitespace and
+# non-ASCII digits; a number in the CSV grammar holds none of them.
+_NOT_IN_NUMBERS = ("_", " ", "\t", "\n", "\r", "\x0b", "\x0c")
+
+
+def _plain(text: str) -> bool:
+    return text.isascii() and not any(c in text for c in _NOT_IN_NUMBERS)
+
+
 def _parse_cell(field: str, line_no: int, col: str) -> float:
     if field == "":
         return math.nan
     try:
+        if not _plain(field):
+            raise ValueError
         value = float(field)
     except ValueError:
         raise MalformedCsv(
@@ -188,6 +225,8 @@ def _parse_block(
         fields = list(chain.from_iterable(block))
         present = np.fromiter(map(bool, fields), bool, len(fields))
         try:
+            if not _plain("".join(fields)):
+                raise ValueError
             parsed = np.fromiter(
                 map(float, filter(None, fields)), np.float64, int(present.sum())
             )
@@ -234,7 +273,9 @@ def load_table(path: str | Path) -> Dataset:
                 line_no += len(block)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc})") from None
-    return Dataset(tuple(header), np.concatenate(blocks))
+    values = np.concatenate(blocks)
+    values.flags.writeable = False  # nothing else holds it, so Dataset need not copy
+    return Dataset(tuple(header), values)
 
 
 def load_dataset(path: str | Path, target: SignalId) -> Dataset:
@@ -243,6 +284,18 @@ def load_dataset(path: str | Path, target: SignalId) -> Dataset:
     if target not in table.signals:
         raise UnknownTarget(f"{path}: target {target!r} not in header")
     return Dataset(table.signals, table.values, target)
+
+
+def read_json(path: str | Path, error: type[InputError], what: str):
+    """The JSON document in the file at ``path``; text that is not UTF-8,
+    not JSON or nested past the recursion limit raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: {path} is not UTF-8 text ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {path} is not valid JSON ({exc})") from None
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
@@ -284,7 +337,7 @@ def coalesce_signals(
         raise DuplicateSignal(f"merged signal {merged!r} already exists")
 
     block = dataset.values[:, src_idx]
-    present = ~np.isnan(block)
+    present = dataset.availability_mask()[:, src_idx]
     multi = present.sum(axis=1) > 1
     for row in np.flatnonzero(multi):
         vals = block[row, present[row]]
@@ -294,26 +347,19 @@ def coalesce_signals(
             )
     fused = np.full(dataset.n_rows, np.nan)
     for j in reversed(range(len(src_idx))):
-        col = block[:, j]
-        fused = np.where(np.isnan(col), fused, col)
+        fused = np.where(present[:, j], block[:, j], fused)
 
     out_signals: list[SignalId] = []
     out_cols: list[np.ndarray] = []
-    inserted = False
     first_pos = min(src_idx)
     for j, name in enumerate(dataset.signals):
         if j == first_pos:
             out_signals.append(merged)
             out_cols.append(fused)
-            inserted = True
         if name not in set(sources):
             out_signals.append(name)
             out_cols.append(dataset.values[:, j])
-    if not inserted:  # pragma: no cover - first_pos always < n columns
-        out_signals.append(merged)
-        out_cols.append(fused)
     target = dataset.target
     if target in set(sources):
         target = merged
-    values = np.column_stack(out_cols) if out_cols else np.empty((dataset.n_rows, 0))
-    return Dataset(tuple(out_signals), values, target)
+    return Dataset(tuple(out_signals), np.column_stack(out_cols), target)

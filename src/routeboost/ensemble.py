@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, SignalId
+from .data import Dataset, SignalId, read_json
 from .errors import (
     EmptySubset,
     EmptyTrainingSet,
@@ -132,7 +132,6 @@ class EnsembleModel:
         present signals, bit for bit, and NaN where it would raise
         NoApplicableModel.
         """
-        mask = dataset.availability_mask()
         targets = {self.target, dataset.target}
         columns = {s: j for j, s in enumerate(dataset.signals) if s not in targets}
         fired = np.zeros((dataset.n_rows, len(self.members)), dtype=bool)
@@ -140,10 +139,9 @@ class EnsembleModel:
         for k, member in enumerate(self.members):
             if not set(member.features) <= columns.keys():
                 continue
-            cols = [columns[s] for s in member.features]
-            fired[:, k] = mask[:, cols].all(axis=1)
+            fired[:, k] = dataset.rows_with(member.features)
             rows = np.flatnonzero(fired[:, k])
-            X = dataset.values[np.ix_(rows, cols)]
+            X = dataset.values[np.ix_(rows, [columns[s] for s in member.features])]
             total[rows] += member.learner.predict_matrix(X)
         if self.mode == "boosting":
             return np.where(fired[:, 0], total, np.nan), fired
@@ -334,16 +332,14 @@ def evaluate(
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ValueError(f"repeated stratum name {name!r}")
-    mask = dataset.availability_mask()
-    has_target = mask[:, dataset.index(dataset.target)]
+    has_target = dataset.rows_with([dataset.target])
     # Each row goes to the first stratum, largest feature set first, whose
     # signals are all present.
     assigned = np.full(dataset.n_rows, -1)
     for spec in sorted(strata, key=lambda s: (-len(s.features), s.name)):
         if not spec.feature_set <= set(dataset.signals):
             continue
-        cols = [dataset.index(s) for s in spec.features]
-        match = has_target & (assigned < 0) & mask[:, cols].all(axis=1)
+        match = has_target & (assigned < 0) & dataset.rows_with(spec.features)
         assigned[match] = names.index(spec.name)
     pred, _ = model.predict_dataset(dataset)
     no_model = np.isnan(pred)
@@ -425,9 +421,4 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 def load_model(path) -> EnsembleModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"malformed model: {path} is not UTF-8 text ({exc})") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, InputError, "malformed model"))

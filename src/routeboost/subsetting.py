@@ -10,7 +10,7 @@ cells; training rows additionally require a present target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import (
     SignalGroup,
     always_available_signals,
-    ensure_disjoint_groups,
+    check_groups,
     infer_signal_groups,
     route_frequencies,
 )
@@ -32,7 +32,6 @@ from .errors import (
     NoQualifyingRoutes,
     NotNested,
     UnknownGroup,
-    UnknownSignal,
     UnknownTarget,
 )
 
@@ -86,11 +85,7 @@ def subsets_by_grouped_signals(
     group and the rest of the data are suspected), otherwise the group
     signals alone.
     """
-    ensure_disjoint_groups(groups)
-    for g in groups:
-        for s in g.members:
-            if s not in dataset.signals:
-                raise UnknownSignal(f"group {g.name!r} references unknown signal {s!r}")
+    check_groups(dataset, groups)
     always = always_available_signals(dataset)
     base = {s for s in always if s != dataset.target}
     if not base:
@@ -129,7 +124,7 @@ def subsets_by_common_routes(
     """
     if uncommon_policy not in ("drop", "merge_common"):
         raise ConfigError(f"unknown uncommon_policy {uncommon_policy!r}")
-    ensure_disjoint_groups(groups)
+    check_groups(dataset, groups)
     by_name = {g.name: g for g in groups}
 
     specs: list[SubsetSpec] = []
@@ -170,15 +165,13 @@ def subsets_by_common_routes(
                 f"({dataset.n_rows} rows)"
             )
 
-    if uncommon_policy == "merge_common" and dataset.n_rows:
-        mask = dataset.availability_mask()
+    if uncommon_policy == "merge_common":
         covered = np.zeros(dataset.n_rows, dtype=bool)
         for spec in specs:
-            idx = [dataset.index(s) for s in spec.features]
-            covered |= mask[:, idx].all(axis=1)
+            covered |= dataset.rows_with(spec.features)
         uncommon = ~covered
         if uncommon.any():
-            common_cols = mask[uncommon].all(axis=0)
+            common_cols = dataset.availability_mask()[uncommon].all(axis=0)
             feats = {
                 s
                 for s, ok in zip(dataset.signals, common_cols)
@@ -197,24 +190,17 @@ def materialize(dataset: Dataset, spec: SubsetSpec) -> Dataset:
     The result contains zero missing cells. Raises EmptySubset when no
     row qualifies; an empty subset is reported, never silently used.
     """
-    if dataset.target is None:
-        raise UnknownTarget("materialize requires a dataset with a target")
-    for s in spec.features:
-        if s not in dataset.signals:
-            raise UnknownSignal(f"subset {spec.name!r}: unknown signal {s!r}")
     rows = subset_rows(dataset, spec)
     if rows.size == 0:
         raise EmptySubset(f"subset {spec.name!r} has no complete rows")
-    return dataset.project(set(spec.features) | {dataset.target}, rows)
+    return dataset.project((*spec.features, dataset.target), rows)
 
 
 def subset_rows(dataset: Dataset, spec: SubsetSpec) -> np.ndarray:
     """Indices of rows where all features and the target are present."""
     if dataset.target is None:
-        raise UnknownTarget("subset_rows requires a dataset with a target")
-    wanted = set(spec.features) | {dataset.target}
-    idx = [dataset.index(s) for s in wanted]
-    return np.flatnonzero(dataset.availability_mask()[:, idx].all(axis=1))
+        raise UnknownTarget(f"subset {spec.name!r} needs a dataset with a target")
+    return np.flatnonzero(dataset.rows_with((*spec.features, dataset.target)))
 
 
 def validate_nested_chain(specs: Sequence[SubsetSpec]) -> list[SubsetSpec]:
@@ -256,9 +242,7 @@ def resolve_groups(
 ) -> list[SignalGroup]:
     """Configured groups win over inference."""
     if mapping:
-        groups = [SignalGroup(name, tuple(members)) for name, members in mapping.items()]
-        ensure_disjoint_groups(groups)
-        return groups
+        return [SignalGroup(name, tuple(members)) for name, members in mapping.items()]
     return infer_signal_groups(dataset)
 
 

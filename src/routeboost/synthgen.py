@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from numbers import Real
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 

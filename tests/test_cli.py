@@ -138,6 +138,29 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("strategy", ["grouped", "routes", "auto"])
+    def test_group_signal_missing_from_data_exit_1(
+        self, steel_csv, tmp_path, capsys, strategy
+    ):
+        groups, segments = steel_flags()
+        groups["HSM1"] = ["HSM1_1", "HSM1_TYPO"]
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"strategy": strategy, "groups": groups, "segments": segments}),
+            encoding="utf-8",
+        )
+        model = tmp_path / "m.json"
+        code = main(
+            [
+                "train", "--config", str(config), "--data", steel_csv,
+                "--target", "Y", "--model-out", str(model),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: group 'HSM1' references unknown signal 'HSM1_TYPO'\n"
+        assert not model.exists()
+
     def test_infinite_cell_exit_2(self, tmp_path, capsys):
         data = tmp_path / "inf.csv"
         data.write_text("A,Y\n1,2\n2,inf\n3,4\n", encoding="utf-8")
@@ -593,3 +616,53 @@ class TestNonUtf8Input:
         }[reader]
         err = one_line_error(main(argv), capsys)
         assert message in err and "can't decode byte 0xff" in err
+
+
+def deep_tree_model(depth: int) -> str:
+    """A model whose one tree member is nested ``depth`` splits deep."""
+    split = '{"feature": 0, "threshold": 0.5, "right": {"value": 1.0, "n_rows": 1}, "left": '
+    tree = split * depth + '{"value": 0.0, "n_rows": 1}' + "}" * depth
+    learner = '{"kind": "tree", "features": ["A"], "parameters": {"root": ' + tree + "}}"
+    member = '{"name": "base", "features": ["A"], "learner": ' + learner + "}"
+    return '{"mode": "boosting", "target": "Y", "members": [' + member + "]}"
+
+
+class TestUnreadableJson:
+    """Every JSON input goes through one reader: exit 2, one line, no traceback."""
+
+    @pytest.mark.parametrize("text", ["[" * 5000, '{"mode": '], ids=["deep", "truncated"])
+    @pytest.mark.parametrize(
+        "reader,message",
+        [
+            ("model", "malformed model"),
+            ("config", "malformed config"),
+            ("layout", "malformed layout document"),
+            ("strata", "malformed strata manifest"),
+        ],
+    )
+    def test_exit_2(self, toy6_csv, tmp_path, capsys, reader, message, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(
+            json.dumps({"mode": "boosting", "target": "Y", "members": [MEAN_MEMBER]}),
+            encoding="utf-8",
+        )
+        argv = {
+            "model": ["predict", "--data", toy6_csv, "--model", str(bad), "--out", str(model)],
+            "config": ["analyze", "--config", str(bad), "--data", toy6_csv, "--target", "Y"],
+            "layout": ["generate", "--out", str(tmp_path / "g.csv"), "--layout", str(bad)],
+            "strata": [
+                "evaluate", "--data", toy6_csv, "--model", str(model), "--strata", str(bad),
+            ],
+        }[reader]
+        err = one_line_error(main(argv), capsys)
+        assert err.startswith(f"error: {message}: ") and "not valid JSON" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [984, 2000])
+    def test_deep_model_tree_exit_2(self, toy6_csv, tmp_path, capsys, depth):
+        model = tmp_path / "model.json"
+        model.write_text(deep_tree_model(depth), encoding="utf-8")
+        argv = ["predict", "--data", toy6_csv, "--model", str(model), "--out", str(tmp_path / "p")]
+        assert "malformed model" in one_line_error(main(argv), capsys)

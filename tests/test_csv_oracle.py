@@ -60,8 +60,8 @@ def test_write_and_read_match_reference(tmp_path_factory, names, data_):
     assert got[1] == values.tobytes()
 
 
-GOOD = ["", "1", "-0.0", "5e-324", "1e300", "-1e-300", "2.5", " 7 ", "1_0", '"3.5"', '""']
-BAD = ["abc", "nan", "NaN", "inf", "-Infinity", " ", "1e", "0x10"]
+GOOD = ["", "1", "-0.0", "5e-324", "1e300", "-1e-300", "2.5", '"3.5"', '""']
+BAD = ["abc", "nan", "NaN", "inf", "-Infinity", " ", "1e", "0x10", " 7 ", "1_0"]
 HEADERS = ["A", "B", "E F", '"q""x"', '"C,D"', "B"]
 
 

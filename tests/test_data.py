@@ -19,6 +19,7 @@ from routeboost.errors import (
     UnknownSignal,
     UnknownTarget,
 )
+from tests.conftest import random_masked_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -56,6 +57,12 @@ class TestLoad:
         # NaN input would create a second missing-value encoding, and an
         # infinity is no measurement.
         with pytest.raises(MalformedCsv, match="line 3, column 'A'"):
+            load_dataset(write(tmp_path, f"A,Y\n1,2\n{cell},3\n"), "Y")
+
+    @pytest.mark.parametrize("cell", ["1_0", " 7", "7 ", "7\t", '"7\n"', "١٢", "\u00a07"])
+    def test_number_outside_csv_grammar_rejected(self, tmp_path, cell):
+        # float() reads each of these; the CSV grammar allows none of them.
+        with pytest.raises(MalformedCsv, match="line 3, column 'A': unparsable number"):
             load_dataset(write(tmp_path, f"A,Y\n1,2\n{cell},3\n"), "Y")
 
     def test_crlf_and_header_only(self, tmp_path):
@@ -120,6 +127,30 @@ class TestProject:
         assert once.signals == twice.signals
         assert np.array_equal(once.values, twice.values, equal_nan=True)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {5, 0, 3},
+            range(1, 5),
+            [4, 1, 4, 2],
+            np.array([5, 0, 5, 2, 0, 2]),
+            np.array([3], dtype=np.int32),
+            [],
+            np.array([], dtype=np.intp),
+        ],
+        ids=["set", "range", "list", "array", "int32", "empty", "empty-array"],
+    )
+    def test_rows_match_sorted_set_semantics(self, toy6, rows):
+        old = sorted(set(int(r) for r in rows))
+        sub = toy6.project(toy6.signals, rows=rows)
+        assert sub.n_rows == len(old)
+        assert sub.values.tobytes() == toy6.values[old].tobytes()
+
+    @pytest.mark.parametrize("rows", [[6], np.array([2, -1, 2]), range(3, 8)])
+    def test_rows_out_of_range_with_repeats(self, toy6, rows):
+        with pytest.raises(RowOutOfRange):
+            toy6.project({"A"}, rows=rows)
+
     def test_commutes_for_disjoint_selections(self, toy6):
         rows = [0, 2, 5]
         cols = {"A", "Y"}
@@ -141,6 +172,13 @@ class TestAvailabilityMask:
     def test_zero_rows(self):
         ds = dataset_from_columns({"A": [], "Y": []}, target="Y")
         assert ds.availability_mask().shape == (0, 2)
+
+    def test_cached_and_read_only(self, toy6):
+        mask = toy6.availability_mask()
+        assert toy6.availability_mask() is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
 
     def test_row_sums_match_present_counts(self, toy6):
         mask = toy6.availability_mask()
@@ -197,3 +235,22 @@ class TestCoalesce:
         out = coalesce_signals(ds, "Y", ["Y1", "Y2"])
         assert out.target == "Y"
         assert out.column("Y").tolist() == [3.0, 4.0]
+
+
+class TestRowsWith:
+    def test_matches_mask_columns(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            ds = random_masked_dataset(rng)
+            k = int(rng.integers(0, len(ds.signals) + 1))
+            wanted = list(rng.choice(ds.signals, size=k, replace=False))
+            idx = [ds.index(s) for s in wanted]
+            expected = (~np.isnan(ds.values))[:, idx].all(axis=1)
+            assert ds.rows_with(wanted).tolist() == expected.tolist()
+
+    def test_no_signals_selects_every_row(self, toy6):
+        assert toy6.rows_with([]).tolist() == [True] * toy6.n_rows
+
+    def test_unknown_signal(self, toy6):
+        with pytest.raises(UnknownSignal):
+            toy6.rows_with(["A", "Z"])
