@@ -253,8 +253,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.synthetic:
         layout = default_layout()
         dataset = generate(GenSpec(layout, args.rows, config.seed))
-        if config.segments is None and config.strategy == "grouped":
-            # Route segments straight from the layout; one group per unit.
+        if config.segments is None and config.strategy is None:
+            # Neither a flag nor the config names a strategy: route segments
+            # straight from the layout, one group per unit.
             config.strategy = "routes"
             config.groups = {
                 u.name: [s.name for s in u.signals] for u in layout.units

@@ -11,7 +11,7 @@ Recognized keys (all optional unless a command needs them):
     data, target          input CSV path and target signal
     groups                {"group name": ["signal", ...]}
     segments              {"segment name": ["group name", ...]}
-    strategy              "grouped" | "routes" | "auto"
+    strategy              "grouped" (the default) | "routes" | "auto"
     include_base_signals  bool, grouped strategy signal-inclusion option
     min_support           float, auto route detection threshold
     uncommon_policy       "drop" | "merge_common"
@@ -43,7 +43,7 @@ class RunConfig:
     target: str | None = None
     groups: dict[str, list[str]] | None = None
     segments: dict[str, list[str]] | None = None
-    strategy: str = "grouped"
+    strategy: str | None = None  # None: not named, so "grouped"
     include_base_signals: bool = True
     min_support: float = 0.05
     uncommon_policy: str = "drop"
@@ -60,7 +60,7 @@ class RunConfig:
 
     def strategy_options(self) -> StrategyOptions:
         return StrategyOptions(
-            strategy=self.strategy,
+            strategy="grouped" if self.strategy is None else self.strategy,
             groups=self.groups,
             segments=self.segments,
             include_base_signals=self.include_base_signals,

@@ -156,6 +156,7 @@ class Dataset:
         col_idx = [self.index(s) for s in cols]
         sub = self.values[np.ix_(row_idx, col_idx)] if col_idx else \
             np.empty((len(row_idx), 0), dtype=np.float64)
+        sub.flags.writeable = False  # a fresh array, so Dataset need not copy
         target = self.target if self.target in keep_set else None
         return Dataset(tuple(cols), sub, target)
 

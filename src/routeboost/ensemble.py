@@ -38,7 +38,7 @@ from .learners import (
     learner_to_dict,
     signal_names,
 )
-from .subsetting import SubsetSpec, materialize, validate_nested_chain
+from .subsetting import SubsetSpec, training_rows, validate_nested_chain
 
 ENSEMBLE_MODES = ("boosting", "bagging")
 
@@ -150,43 +150,31 @@ class EnsembleModel:
             return np.where(n_fired > 0, total / n_fired, np.nan), fired
 
 
-def _training_matrix(sub: Dataset, features: Sequence[SignalId]) -> np.ndarray:
-    return np.column_stack([sub.column(f) for f in features])
-
-
-def _prefix_predictions(
-    members: Sequence[EnsembleMember], sub: Dataset
-) -> np.ndarray:
-    """Summed predictions of already-fitted members on a materialized subset."""
-    if not members:
-        return np.zeros(sub.n_rows)
-    prefix = EnsembleModel("boosting", sub.target, tuple(members))
-    return prefix.predict_dataset(sub)[0]
-
-
 def _fit_members(
     dataset: Dataset,
     specs: Sequence[SubsetSpec],
-    parents: Sequence[Sequence[int] | None],
+    parents: Sequence[Sequence[int]],
     names: Sequence[str],
     config: LearnerConfig,
 ) -> tuple[EnsembleMember, ...]:
-    """Fit one member per spec, in order, each on its materialized subset.
+    """Fit one member per spec, in order, on the rows of ``dataset`` where
+    its features and the target are present.
 
     Member k is fit against the target minus the summed predictions of
-    the earlier members listed in ``parents[k]``, or against the stored
-    target column when that entry is None. The two differ only in memory
-    layout (a contiguous copy or a strided column), on which ridge's BLAS
-    products can round differently; a chain base subtracts an empty
-    prefix and a bagging member does not, as their saved models did.
+    the earlier members listed in ``parents[k]``, scored on the whole
+    table by ``predict_dataset``; rows score independently there, so
+    each residual equals the one scored on member k's rows alone.
     """
     members: list[EnsembleMember] = []
     for spec, prefix, name in zip(specs, parents, names):
-        sub = materialize(dataset, spec)
-        X = _training_matrix(sub, spec.features)
-        y = sub.column(sub.target)
-        if prefix is not None:
-            y = y - _prefix_predictions([members[j] for j in prefix], sub)
+        rows = training_rows(dataset, spec)
+        X = dataset.values[np.ix_(rows, [dataset.index(s) for s in spec.features])]
+        y = dataset.column(dataset.target)[rows]
+        if prefix:
+            parent = EnsembleModel(
+                "boosting", dataset.target, tuple(members[j] for j in prefix)
+            )
+            y = y - parent.predict_dataset(dataset)[0][rows]
         learner = fit(config, X, y, features=spec.features)
         members.append(EnsembleMember(name, spec.features, learner))
     return tuple(members)
@@ -203,7 +191,7 @@ def train_boosting(
     the role name "base"; residual members keep their subset names.
     """
     chain = validate_nested_chain(specs)
-    parents = [range(k) for k in range(len(chain))]
+    parents = [tuple(range(k)) for k in range(len(chain))]
     names = ["base"] + [spec.name for spec in chain[1:]]
     members = _fit_members(dataset, chain, parents, names, config)
     return EnsembleModel("boosting", dataset.target, members)
@@ -230,7 +218,7 @@ def train_boosting_branched(
                 f"every other subset, but {spec.name!r} does not contain it "
                 "(bagging fits subsets that are not nested)"
             )
-    parents = [None] + [(0,)] * (len(ordered) - 1)
+    parents = [()] + [(0,)] * (len(ordered) - 1)
     names = ["base"] + [spec.name for spec in ordered[1:]]
     members = _fit_members(dataset, ordered, parents, names, config)
     return EnsembleModel("boosting", dataset.target, members)
@@ -243,7 +231,7 @@ def train_bagging(
     if not specs:
         raise ValueError("bagging needs at least one subset")
     names = [spec.name for spec in specs]
-    members = _fit_members(dataset, specs, [None] * len(specs), names, config)
+    members = _fit_members(dataset, specs, [()] * len(specs), names, config)
     return EnsembleModel("bagging", dataset.target, members)
 
 
@@ -257,7 +245,7 @@ def train_conventional(dataset: Dataset, config: LearnerConfig) -> EnsembleModel
     features = tuple(s for s in dataset.signals if s != dataset.target)
     spec = SubsetSpec("conventional", features)
     try:
-        members = _fit_members(dataset, [spec], [None], [spec.name], config)
+        members = _fit_members(dataset, [spec], [()], [spec.name], config)
     except EmptySubset:
         raise EmptyTrainingSet("no row is free of missing values") from None
     return EnsembleModel("bagging", dataset.target, members)
@@ -410,8 +398,10 @@ def model_from_dict(d: dict) -> EnsembleModel:
         return EnsembleModel(d["mode"], target, members)
     except KeyError as exc:
         raise InputError(f"malformed model: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NotNested) as exc:
         raise InputError(f"malformed model: {exc}") from None
+    except RecursionError:
+        raise InputError("malformed model: nested too deeply to read") from None
 
 
 def save_model(model: EnsembleModel, path) -> None:

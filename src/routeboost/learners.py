@@ -3,8 +3,8 @@
 Three kinds: a mean predictor, ridge-regularized least squares solved
 via the normal equations on centered data (intercept unpenalized), and
 a depth-limited regression tree with greedy variance-reduction splits.
-Fitting is deterministic: identical inputs produce bit-identical
-parameters.
+Fitting is deterministic: identical values, whatever their memory
+layout, produce bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -178,7 +178,9 @@ def _as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise EmptyTrainingSet("no training rows")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data must not contain missing or infinite values")
-    return X, y
+    # BLAS products can round differently on strided operands; one layout
+    # makes the fitted parameters a function of the values alone.
+    return np.ascontiguousarray(X), np.ascontiguousarray(y)
 
 
 def fit(

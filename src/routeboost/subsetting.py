@@ -190,9 +190,7 @@ def materialize(dataset: Dataset, spec: SubsetSpec) -> Dataset:
     The result contains zero missing cells. Raises EmptySubset when no
     row qualifies; an empty subset is reported, never silently used.
     """
-    rows = subset_rows(dataset, spec)
-    if rows.size == 0:
-        raise EmptySubset(f"subset {spec.name!r} has no complete rows")
+    rows = training_rows(dataset, spec)
     return dataset.project((*spec.features, dataset.target), rows)
 
 
@@ -201,6 +199,14 @@ def subset_rows(dataset: Dataset, spec: SubsetSpec) -> np.ndarray:
     if dataset.target is None:
         raise UnknownTarget(f"subset {spec.name!r} needs a dataset with a target")
     return np.flatnonzero(dataset.rows_with((*spec.features, dataset.target)))
+
+
+def training_rows(dataset: Dataset, spec: SubsetSpec) -> np.ndarray:
+    """``subset_rows``, raising EmptySubset when no row qualifies."""
+    rows = subset_rows(dataset, spec)
+    if rows.size == 0:
+        raise EmptySubset(f"subset {spec.name!r} has no complete rows")
+    return rows
 
 
 def validate_nested_chain(specs: Sequence[SubsetSpec]) -> list[SubsetSpec]:

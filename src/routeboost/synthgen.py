@@ -287,6 +287,7 @@ def generate(spec: GenSpec) -> Dataset:
             total = total + float(coeffs.get(sig.name, 0.0)) * v
         t = col_index[target]
         values[rows, t] = total + float(rule.noise_sigma) * values[rows, t]
+    values.flags.writeable = False  # nothing else holds it, so Dataset need not copy
     return Dataset(columns, values, target)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,17 @@ def random_masked_dataset(rng: np.random.Generator, target="Y") -> Dataset:
     values[holes] = np.nan
     signals = tuple(f"s{j}" for j in range(p)) + (target,)
     return Dataset(signals, values, target)
+
+
+def peak_over_values(build) -> float:
+    """Peak traced allocation of ``build()`` over its dataset's value bytes.
+
+    A table built once and never copied stays close to 1.0.
+    """
+    tracemalloc.start()
+    try:
+        dataset = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / dataset.values.nbytes

@@ -303,6 +303,13 @@ class TestBenchmark:
         assert doc["proposed"]["train_checksum"] == doc["conventional"]["train_checksum"]
         assert doc["n_train"] + doc["n_test"] == doc["n_rows"] == 1500
 
+    def test_synthetic_keeps_an_explicit_grouped_strategy(self, tmp_path):
+        out_json = tmp_path / "bench.json"
+        argv = ["benchmark", "--synthetic", "--rows", "1500", "--seed", "42"]
+        assert main(argv + ["--strategy", "grouped", "--out-json", str(out_json)]) == 0
+        strata = [s["name"] for s in json.loads(out_json.read_text())["strata"]]
+        assert strata[:2] == ["base", "r1"]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["benchmark", "--synthetic", "--rows", "800", "--seed", "9"]
         a = tmp_path / "a.json"
@@ -374,6 +381,9 @@ MEAN_MEMBER = {
     "learner": {"kind": "mean", "features": ["A"], "parameters": {"value": 1.0}},
 }
 SVM_MEMBER = dict(MEAN_MEMBER, learner=dict(MEAN_MEMBER["learner"], kind="svm"))
+C_MEMBER = dict(
+    MEAN_MEMBER, features=["C"], learner=dict(MEAN_MEMBER["learner"], features=["C"])
+)
 
 
 class TestMalformedModel:
@@ -385,8 +395,12 @@ class TestMalformedModel:
             {"mode": "boosting", "target": "Y"},
             {"mode": "boosting", "target": "Y", "members": []},
             {"mode": "boosting", "target": "Y", "members": [SVM_MEMBER]},
+            {"mode": "boosting", "target": "Y", "members": [C_MEMBER, MEAN_MEMBER]},
         ],
-        ids=["not-an-object", "no-members", "empty-members", "unknown-learner"],
+        ids=[
+            "not-an-object", "no-members", "empty-members", "unknown-learner",
+            "base-not-nested",
+        ],
     )
     def test_exit_2(self, toy6_csv, tmp_path, capsys, doc, command):
         model = tmp_path / "model.json"

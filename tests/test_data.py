@@ -19,7 +19,7 @@ from routeboost.errors import (
     UnknownSignal,
     UnknownTarget,
 )
-from tests.conftest import random_masked_dataset
+from tests.conftest import peak_over_values, random_masked_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -194,6 +194,12 @@ class TestImmutability:
     def test_row_values_excludes_missing(self, toy6):
         assert toy6.row_values(0) == {"A": 1.0, "C": 10.0, "Y": 2.0}
         assert toy6.row_values(3) == {"A": 4.0, "D": 5.0, "Y": 8.0}
+
+    def test_project_copies_values_once(self):
+        rng = np.random.default_rng(0)
+        ds = Dataset(tuple(f"s{j}" for j in range(12)), rng.normal(size=(10_000, 12)))
+        rows = np.arange(0, ds.n_rows, 2)
+        assert peak_over_values(lambda: ds.project(ds.signals[1:], rows)) <= 1.5
 
 
 class TestCoalesce:

@@ -20,6 +20,7 @@ from routeboost.ensemble import (
 from routeboost.errors import (
     EmptySubset,
     EmptyTrainingSet,
+    InputError,
     NoApplicableModel,
     NotNested,
 )
@@ -314,6 +315,19 @@ class TestPersistence:
         assert set(doc) == {"mode", "target", "members"}
         assert doc["members"][0]["name"] == "base"
         assert model_from_dict(doc).target == "Y"
+
+    def test_tree_too_deep_to_read_is_input_error(self):
+        node = {"value": 0.0, "n_rows": 1}
+        for _ in range(3000):
+            node = {"feature": 0, "threshold": 0.5, "left": node, "right": node}
+        learner = {"kind": "tree", "features": ["A"], "parameters": {"root": node}}
+        doc = {
+            "mode": "boosting",
+            "target": "Y",
+            "members": [{"name": "base", "features": ["A"], "learner": learner}],
+        }
+        with pytest.raises(InputError, match="malformed model"):
+            model_from_dict(doc)
 
 
 class TestEqualInformationEquivalence:

@@ -19,6 +19,8 @@ from routeboost.learners import (
     learner_to_json,
     scan_split,
 )
+from routeboost.subsetting import SubsetSpec, materialize
+from routeboost.synthgen import GenSpec, default_layout, generate
 from tests import scan_oracle
 
 # --- independent oracles -----------------------------------------------------
@@ -84,6 +86,49 @@ def test_fit_rejects_non_finite_values(kind, bad):
     for Xi, yi in ((bad_X, y), (X, bad_y)):
         with pytest.raises(ValueError, match="missing or infinite"):
             fit(LearnerConfig(kind=kind), Xi, yi)
+
+
+class TestMemoryLayout:
+    """Parameters depend on the training values, never on their layout."""
+
+    CONFIGS = [
+        LearnerConfig(kind="mean"),
+        LearnerConfig(kind="ridge"),
+        LearnerConfig(kind="ridge", standardize=True),
+        LearnerConfig(kind="tree"),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["mean", "ridge", "std", "tree"])
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_strided_inputs_fit_like_contiguous_copies(self, config, layout):
+        rng = np.random.default_rng(5)
+        block = rng.normal(size=(1600, 10)) * np.geomspace(1.0, 1e4, 10)
+        block[:, 9] += block[:, :4] @ [1.0, -2.0, 0.5, 3.0]
+        y = block[::2, 9]
+        X = np.asfortranarray(block[::2, :6]) if layout == "fortran" else block[::2, 1:8:2]
+        assert not (X.flags.c_contiguous or y.flags.c_contiguous)
+        assert learner_to_json(fit(config, X, y)) == learner_to_json(
+            fit(config, np.ascontiguousarray(X), np.ascontiguousarray(y))
+        )
+
+    def test_plant_subset_target_column(self):
+        # A column of the materialized table is strided; before fit took a
+        # contiguous copy, ridge rounded this case differently.
+        features = ("HSM1_1", "HSM1_2", "PLTCM_1", "PLTCM_2", "CAL_1", "CAL_2")
+        dataset = generate(GenSpec(default_layout(), 10_000, 0))
+        sub = materialize(dataset, SubsetSpec("b", features))
+        assert sub.n_rows == 5018
+        X = np.column_stack([sub.column(f) for f in features])
+        y = sub.column("Y")
+        assert not y.flags.c_contiguous
+        config = LearnerConfig(kind="ridge", ridge_lambda=1e-8)
+        assert learner_to_json(fit(config, X, y)) == learner_to_json(
+            fit(config, X, np.ascontiguousarray(y))
+        )
+
+    def test_scalar_target_rejected(self):
+        with pytest.raises(ValueError, match="y must be a vector"):
+            fit(LearnerConfig(), np.ones((3, 2)), 1.0)
 
 
 class TestRidge:

@@ -20,6 +20,7 @@ from routeboost.synthgen import (
     route_of_row,
     with_noise_sigma,
 )
+from tests.conftest import peak_over_values
 
 
 def unit_groups(layout):
@@ -70,6 +71,10 @@ class TestGenerate:
         write_csv(a, pa)
         write_csv(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_values_are_allocated_once(self):
+        spec = GenSpec(default_layout(), 10_000, 0)
+        assert peak_over_values(lambda: generate(spec)) <= 1.5
 
     def test_row_substreams_stable_under_row_count(self):
         layout = default_layout()
