@@ -51,7 +51,6 @@ def _row_checksum(rows: np.ndarray) -> str:
 @dataclass(frozen=True)
 class ArmReport:
     name: str
-    model: EnsembleModel | None
     metrics: StratifiedMetrics | None
     failure: str | None
     member_rows: dict[str, int]
@@ -165,7 +164,6 @@ def run_benchmark(
     proposed_model = train_proposed(train_ds, specs, learner, mode)
     proposed = ArmReport(
         name="proposed",
-        model=proposed_model,
         metrics=evaluate(proposed_model, test_ds, specs),
         failure=None,
         member_rows={s.name: int(subset_rows(train_ds, s).size) for s in specs},
@@ -176,7 +174,6 @@ def run_benchmark(
         conv_model = train_conventional(train_ds, learner)
         conventional = ArmReport(
             name="conventional",
-            model=conv_model,
             metrics=evaluate(conv_model, test_ds, specs),
             failure=None,
             member_rows={
@@ -188,7 +185,6 @@ def run_benchmark(
     except EmptyTrainingSet:
         conventional = ArmReport(
             name="conventional",
-            model=None,
             metrics=None,
             failure="no complete cases",
             member_rows={"conventional": 0},

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ArityMismatch, EmptyTrainingSet, SingularSystem
 
@@ -32,8 +31,8 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be non-negative")
+        if not 0.0 <= self.ridge_lambda < np.inf:
+            raise ValueError("ridge_lambda must be non-negative and finite")
         if self.tree_max_depth < 1 or self.tree_min_leaf < 1:
             raise ValueError("tree_max_depth and tree_min_leaf must be >= 1")
 
@@ -214,9 +213,9 @@ def _fit_ridge(
 ) -> RidgeLearner:
     """Normal equations on centered data; the intercept is unpenalized.
 
-    With ridge_lambda > 0 the system is positive definite and always
-    solvable; with ridge_lambda = 0 a rank-deficient Gram matrix raises
-    SingularSystem.
+    With ridge_lambda = 0 a rank-deficient Gram matrix raises
+    SingularSystem, as does a Cholesky factorization that fails in
+    floating point, which a tiny positive ridge_lambda does not prevent.
     """
     mu = X.mean(axis=0)
     Xc = X - mu
@@ -232,10 +231,10 @@ def _fit_ridge(
         # rounded tiny pivot; any positive penalty makes this impossible.
         raise SingularSystem("normal equations are singular (needs ridge_lambda > 0)")
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True)
+        lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations are singular: {exc}") from None
-    w = scipy.linalg.cho_solve(factor, rhs)
+    w = np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
     if scale is not None:
         w = w / scale
     intercept = float(np.mean(y) - mu @ w)

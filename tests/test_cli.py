@@ -435,10 +435,11 @@ class TestMalformedConfig:
             ({"groups": {"a": "PLTCM_1"}}, "groups 'a' is not a list of signal names"),
             ({"test_fraction": 2}, "test_fraction must be within [0, 1], got 2"),
             ({"mode": "foo"}, "mode must be one of ['boosting', 'bagging'], got 'foo'"),
+            ({"learner": {"ridge_lambda": float("nan")}}, "ridge_lambda must be non-negative"),
         ],
         ids=[
             "seed", "test-fraction", "ridge-lambda", "group-string",
-            "test-fraction-range", "mode",
+            "test-fraction-range", "mode", "ridge-lambda-nan",
         ],
     )
     def test_exit_2(self, steel_csv, tmp_path, capsys, doc, message):
@@ -477,8 +478,13 @@ class TestMalformedFlags:
             (["--ridge-lambda", "-1"], "ridge_lambda must be non-negative"),
             (["--test-fraction", "-0.5"], "test_fraction must be within [0, 1], got -0.5"),
             (["--seed", "-1"], "seed must be non-negative, got -1"),
+            (["--ridge-lambda", "nan"], "ridge_lambda must be non-negative"),
+            (["--ridge-lambda", "inf"], "ridge_lambda must be non-negative"),
         ],
-        ids=["tree-depth", "ridge-lambda", "test-fraction", "seed"],
+        ids=[
+            "tree-depth", "ridge-lambda", "test-fraction", "seed", "ridge-lambda-nan",
+            "ridge-lambda-inf",
+        ],
     )
     def test_benchmark_exit_2(self, toy6_csv, capsys, flags, message):
         code = main(["benchmark", "--data", toy6_csv, "--target", "Y", *flags])

@@ -182,6 +182,14 @@ class TestRidge:
             fit(LearnerConfig(kind="ridge", ridge_lambda=0.0), X, y)
         fit(LearnerConfig(kind="ridge", ridge_lambda=1e-8), X, y)  # solvable
 
+    def test_failed_factorization_with_penalty_is_singular(self):
+        # The penalty is far below the roundoff of Gram entries near 5e17,
+        # so the factorization itself fails.
+        x = np.random.default_rng(0).normal(size=50) * 1e8
+        X = np.c_[x, x, x + 0.1]
+        with pytest.raises(SingularSystem):
+            fit(LearnerConfig(kind="ridge", ridge_lambda=1e-8), X, np.ones(50))
+
     def test_standardize_flag_keeps_prediction_semantics(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(50, 2)) * [1.0, 1000.0]
