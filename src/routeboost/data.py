@@ -122,8 +122,8 @@ class Dataset:
     def row_values(self, row: int) -> dict[SignalId, float]:
         """Mapping of present signals to their values for one row."""
         self._check_row(row)
-        vals = self.values[row]
-        return {s: float(v) for s, v in zip(self.signals, vals) if not math.isnan(v)}
+        vals = self.values[row].tolist()
+        return {s: v for s, v in zip(self.signals, vals) if v == v}  # NaN != NaN
 
     def project(
         self,
@@ -339,13 +339,16 @@ def coalesce_signals(
 
     block = dataset.values[:, src_idx]
     present = dataset.availability_mask()[:, src_idx]
-    multi = present.sum(axis=1) > 1
-    for row in np.flatnonzero(multi):
+    spread = np.where(present, block, -np.inf).max(axis=1) - np.where(
+        present, block, np.inf
+    ).min(axis=1)
+    conflicts = np.flatnonzero((present.sum(axis=1) > 1) & (spread > tol))
+    if conflicts.size:
+        row = conflicts[0]
         vals = block[row, present[row]]
-        if np.max(vals) - np.min(vals) > tol:
-            raise CoalesceConflict(
-                f"row {row}: sources {list(sources)} disagree ({vals.tolist()})"
-            )
+        raise CoalesceConflict(
+            f"row {row}: sources {list(sources)} disagree ({vals.tolist()})"
+        )
     fused = np.full(dataset.n_rows, np.nan)
     for j in reversed(range(len(src_idx))):
         fused = np.where(present[:, j], block[:, j], fused)

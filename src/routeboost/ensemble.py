@@ -45,6 +45,9 @@ ENSEMBLE_MODES = ("boosting", "bagging")
 
 @dataclass(frozen=True)
 class EnsembleMember:
+    """A named learner; ``feature_set`` is its features as a frozenset,
+    made once at construction for the per-row applicability test."""
+
     name: str
     features: tuple[SignalId, ...]
     learner: FittedLearner
@@ -54,6 +57,7 @@ class EnsembleMember:
             raise ValueError(
                 f"member {self.name!r}: learner features do not match member features"
             )
+        object.__setattr__(self, "feature_set", frozenset(self.features))
 
 
 @dataclass(frozen=True)
@@ -75,9 +79,9 @@ class EnsembleModel:
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
         if self.mode == "boosting":
-            base = set(self.members[0].features)
+            base = self.members[0].feature_set
             for m in self.members[1:]:
-                if not base <= set(m.features):
+                if not base <= m.feature_set:
                     raise NotNested(
                         f"base features are not a subset of member {m.name!r}"
                     )
@@ -88,33 +92,29 @@ class EnsembleModel:
         For a nested boosting chain this is always a prefix of the member
         order. The target's presence is irrelevant.
         """
-        return [
-            i
-            for i, m in enumerate(self.members)
-            if set(m.features) <= row_signals
-        ]
+        return [i for i, m in enumerate(self.members) if m.feature_set <= row_signals]
 
     def predict_with_members(
         self, row: Mapping[SignalId, float]
     ) -> tuple[float, list[str]]:
-        """Prediction plus the names of the members that produced it."""
-        present = set(row)
+        """Prediction plus the names of the members that produced it.
+
+        A NaN value marks its signal absent, as a NaN cell does in a
+        ``Dataset``.
+        """
+        present = {s for s, v in row.items() if v == v}  # NaN != NaN
         applicable = self.applicable_members(present)
         if self.mode == "boosting":
             if not applicable or applicable[0] != 0:
                 raise NoApplicableModel("base model inputs are not available")
         elif not applicable:
             raise NoApplicableModel("no member has all its inputs available")
-        outputs = []
+        total = 0.0
         for i in applicable:
             member = self.members[i]
-            x = [row[s] for s in member.features]
-            outputs.append(member.learner.predict_one(x))
-        total = 0.0
-        for v in outputs:
-            total += v
+            total += member.learner.predict_one([row[s] for s in member.features])
         if self.mode == "bagging":
-            total = total / len(outputs)
+            total = total / len(applicable)
         return total, [self.members[i].name for i in applicable]
 
     def predict(self, row: Mapping[SignalId, float]) -> float:

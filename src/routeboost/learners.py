@@ -10,7 +10,9 @@ layout, produce bit-identical parameters.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,7 +63,7 @@ class MeanLearner:
     kind = "mean"
 
     def predict_one(self, x: Sequence[float]) -> float:
-        _check_arity(x, self.features)
+        _row(x, self.features)
         return self.value
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -80,19 +82,18 @@ class RidgeLearner:
         w = w.copy() if w.flags.writeable else w
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_weight_list", w.tolist())
 
     def predict_one(self, x: Sequence[float]) -> float:
         """``intercept + sum_j x[j] * w[j]``, summed in feature order.
 
         ``predict_matrix`` adds the same terms in the same order, so a
         row scored alone and inside any batch gives the same bits; a BLAS
-        dot product or ``X @ w`` would not.
+        dot product or ``X @ w`` would not, and neither would ``sum``,
+        which compensates its rounding from Python 3.12 on.
         """
-        xv = _check_arity(x, self.features)
-        acc = 0.0
-        for xj, wj in zip(xv.tolist(), self.weights.tolist()):
-            acc += xj * wj
-        return float(self.intercept + acc)
+        terms = map(operator.mul, _row(x, self.features), self._weight_list)
+        return float(self.intercept + reduce(operator.add, terms, 0.0))
 
     def predict_matrix(self, X) -> np.ndarray:
         X = _check_arity(X, self.features, 2)
@@ -109,10 +110,12 @@ class TreeLearner:
     kind = "tree"
 
     def predict_one(self, x: Sequence[float]) -> float:
-        xv = _check_arity(x, self.features)
+        xv = _row(x, self.features)
         node = self.root
         while isinstance(node, Split):
-            node = node.left if xv[node.feature] <= node.threshold else node.right
+            # float() compares as predict_matrix's float64 column does.
+            left = float(xv[node.feature]) <= node.threshold
+            node = node.left if left else node.right
         return node.value
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -164,6 +167,14 @@ def _check_arity(x, features: tuple[str, ...], ndim: int = 1) -> np.ndarray:
             f"expected {len(features)} feature values, got shape {xv.shape}"
         )
     return xv
+
+
+def _row(x, features: tuple[str, ...]) -> list:
+    """One row of the features as a list; a list of the right length is
+    taken as it is, anything else goes through ``_check_arity``."""
+    if type(x) is list and len(x) == len(features):
+        return x
+    return _check_arity(x, features).tolist()
 
 
 def _as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -299,22 +310,28 @@ def _fit_tree(
     few rows remain, the node is pure, or no split strictly reduces the
     summed SSE. A root leaf may hold fewer than tree_min_leaf rows when
     the training set itself is smaller.
+
+    Each feature is sorted once per fit (SLIQ's presorting, Mehta et al.,
+    EDBT 1996). A node's orders list its rows by (value, row index) per
+    feature; a child keeps its share of each, which is exactly the stable
+    sort of its own values, so every node scans what a per-node stable
+    argsort would give. A child's orders are formed only when it scans,
+    and the right child's only after the left subtree is built.
     """
     min_leaf = config.tree_min_leaf
+    columns = range(X.shape[1])
 
-    def build(rows: np.ndarray, depth: int) -> TreeNode:
+    def build(rows: np.ndarray, depth: int, sorted_orders) -> TreeNode:
         ysub = y[rows]
         n = rows.shape[0]
         mean = float(np.mean(ysub))
         node_sse = float(np.sum((ysub - mean) ** 2))
         if depth >= config.tree_max_depth or n < 2 * min_leaf or node_sse <= 0.0:
             return Leaf(mean, n)
-        yc = ysub - mean
+        orders = sorted_orders()
         best = None  # (score, feature, threshold)
-        for j in range(X.shape[1]):
-            xcol = X[rows, j]
-            order = np.argsort(xcol, kind="stable")
-            found = scan_split(xcol[order], yc[order], min_leaf)
+        for j, order in zip(columns, orders):
+            found = scan_split(X[order, j], y[order] - mean, min_leaf)
             if found is None:
                 continue
             _, threshold, score = found
@@ -324,14 +341,23 @@ def _fit_tree(
             return Leaf(mean, n)
         _, feature, threshold = best
         go_left = X[rows, feature] <= threshold
-        return Split(
-            feature,
-            threshold,
-            build(rows[go_left], depth + 1),
-            build(rows[~go_left], depth + 1),
+        left = build(
+            rows[go_left],
+            depth + 1,
+            lambda: [o[X[o, feature] <= threshold] for o in orders],
         )
+        right = build(
+            rows[~go_left],
+            depth + 1,
+            lambda: [o[X[o, feature] > threshold] for o in orders],
+        )
+        return Split(feature, threshold, left, right)
 
-    root = build(np.arange(X.shape[0]), 0)
+    root = build(
+        np.arange(X.shape[0]),
+        0,
+        lambda: [np.argsort(X[:, j], kind="stable") for j in columns],
+    )
     return TreeLearner(names, root)
 
 

@@ -224,6 +224,26 @@ class TestCoalesce:
         with pytest.raises(CoalesceConflict):
             coalesce_signals(ds, "B", ["B1", "B2"])
 
+    def test_first_conflicting_row_is_named(self):
+        ds = self.build([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, None, 3.5, 9.0, 5.0])
+        with pytest.raises(CoalesceConflict, match=r"^row 2: .*\(\[3\.0, 3\.5\]\)$"):
+            coalesce_signals(ds, "B", ["B1", "B2"])
+
+    def test_fused_column_is_the_first_present_source(self):
+        rng = np.random.default_rng(17)
+        n = 2000
+        base = rng.normal(size=n)
+        block = np.column_stack([base, base + 1e-12, base])
+        block[rng.random(size=block.shape) < 0.4] = np.nan
+        ds = Dataset(("S0", "S1", "Y", "S2"), np.insert(block, 2, 1.0, axis=1), "Y")
+        out = coalesce_signals(ds, "S", ["S1", "S0", "S2"])
+        expected = [
+            next((v for v in (row[1], row[0], row[2]) if not math.isnan(v)), math.nan)
+            for row in block.tolist()
+        ]
+        assert out.signals == ("S", "Y")
+        assert np.array_equal(out.column("S"), expected, equal_nan=True)
+
     def test_unknown_source(self):
         ds = self.build([1.0], [2.0])
         with pytest.raises(UnknownSignal):

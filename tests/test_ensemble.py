@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from routeboost.analysis import SignalGroup, infer_signal_groups
-from routeboost.data import dataset_from_columns
+from routeboost.data import Dataset, dataset_from_columns
 from routeboost.ensemble import (
     EnsembleMember,
     EnsembleModel,
@@ -33,6 +34,7 @@ from routeboost.subsetting import (
     subsets_by_grouped_signals,
 )
 from routeboost.synthgen import GenSpec, default_layout, generate
+from tests.test_predict_oracle import scoring_problems
 
 RIDGE = LearnerConfig(kind="ridge")
 
@@ -182,6 +184,40 @@ class TestPredict:
         assert model.predict({"a": 0.0}) == pytest.approx(
             shuffled.predict({"a": 0.0}), abs=1e-12
         )
+
+
+class TestNanMeansAbsent:
+    """A NaN value in a scored row marks its signal absent, as in a table."""
+
+    def test_nested_chain_row(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=40), rng.normal(size=40)
+        ds = Dataset(("A", "B", "Y"), np.column_stack([a, b, a + 2 * b]), "Y")
+        specs = [SubsetSpec("a", ("A",)), SubsetSpec("ab", ("A", "B"))]
+        model = train_boosting(ds, specs, RIDGE)
+        row = {"A": 0.5, "B": float("nan")}
+        values, fired = model.predict_dataset(Dataset(("A", "B"), [[0.5, np.nan]]))
+        value, names = model.predict_with_members(row)
+        assert names == ["base"] and fired.tolist() == [[True, False]]
+        assert np.float64(value).tobytes() == values[0].tobytes()
+        assert model.predict(row) == model.predict({"A": 0.5})
+
+    @settings(max_examples=100, deadline=None)
+    @given(scoring_problems())
+    def test_rows_with_nan_entries_match_the_table(self, problem):
+        model, table, _ = problem
+        values, fired = model.predict_dataset(table)
+        names = [m.name for m in model.members]
+        for i, cells in enumerate(table.values.tolist()):
+            row = dict(zip(table.signals, cells))
+            row.pop(model.target, None)
+            try:
+                value, fired_names = model.predict_with_members(row)
+            except NoApplicableModel:
+                assert np.isnan(values[i]) and not fired[i].any()
+                continue
+            assert np.float64(value).tobytes() == values[i].tobytes()
+            assert [n for n, f in zip(names, fired[i]) if f] == fired_names
 
 
 class TestConventional:

@@ -412,3 +412,36 @@ class TestRowIndependence:
         with pytest.raises(ArityMismatch):
             model.predict_matrix(np.zeros((3, 2)))
         assert model.predict_matrix(np.zeros((0, 1))).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["mean", "ridge", "tree"])
+    def test_predict_one_input_forms(self, kind):
+        rng = np.random.default_rng(31)
+        p = 4
+        X = 1.0 * rng.integers(-3, 4, size=(60, p))
+        y = X @ rng.normal(size=p) + rng.normal(size=60)
+        model = fit(LearnerConfig(kind=kind, tree_min_leaf=2), X, y)
+        grid = rng.integers(-4, 5, size=(20, p))
+        flags = rng.integers(0, 2, size=(10, p))
+        reals = rng.normal(size=(20, p)) * 3.0
+        cases = (
+            [(r, [int(v) for v in r]) for r in grid]
+            + [(r, [bool(v) for v in r]) for r in flags]
+            + [(r, [float(v) for v in r]) for r in reals]
+            + [(r, [np.float64(v) for v in r]) for r in reals]
+            + [(r, tuple(float(v) for v in r)) for r in reals]
+            + [(r, r) for r in grid]
+            + [(r, r.astype(np.float64)) for r in reals]
+        )
+        for r, x in cases:
+            expected = model.predict_matrix(np.array([r], dtype=np.float64))
+            got = model.predict_one(x)
+            assert isinstance(got, float)
+            assert np.array_equal(bits([got]), bits(expected))
+
+    @pytest.mark.parametrize("kind", ["mean", "ridge", "tree"])
+    def test_predict_one_arity_checked(self, kind):
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+        model = fit(LearnerConfig(kind=kind, tree_min_leaf=1), X, [1.0, 2.0, 3.0, 5.0])
+        for x in ([1.0], [1.0, 2.0, 3.0], np.zeros((1, 2)), [[1.0, 2.0]], np.zeros(3)):
+            with pytest.raises(ArityMismatch):
+                model.predict_one(x)
