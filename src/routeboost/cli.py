@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -25,10 +24,18 @@ from .analysis import (
 )
 from .benchmark import benchmark_learner_config, run_benchmark, train_proposed
 from .config import RunConfig, load_run_config, parse_coalesce
-from .data import Dataset, coalesce_signals, load_dataset, load_table, read_json, write_csv
+from .data import (
+    Dataset,
+    coalesce_signals,
+    is_name_list,
+    load_dataset,
+    load_table,
+    read_json,
+    write_csv,
+    write_json,
+)
 from .ensemble import evaluate, load_model, save_model
 from .errors import DomainError, InputError, InvalidLayout
-from .learners import is_name_list
 from .subsetting import (
     SubsetSpec,
     build_subset_specs,
@@ -36,12 +43,6 @@ from .subsetting import (
     subset_rows,
 )
 from .synthgen import GenSpec, default_layout, generate, layout_from_dict
-
-
-def _write_json(path: str | Path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
 
 
 def _load_input(config: RunConfig, need_target: bool = True) -> Dataset:
@@ -117,7 +118,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"  {r.count:>7}  {{{label}}}")
 
     if config.report_out:
-        _write_json(
+        write_json(
             config.report_out,
             {
                 "n_rows": dataset.n_rows,
@@ -150,7 +151,7 @@ def cmd_subset(args: argparse.Namespace) -> int:
             f"{len(entry['features'])} features ({', '.join(entry['features'])})"
         )
     if config.manifest_out:
-        _write_json(config.manifest_out, manifest)
+        write_json(config.manifest_out, manifest)
     return 0
 
 
@@ -171,7 +172,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"to {config.model_out}"
     )
     if config.manifest_out:
-        _write_json(config.manifest_out, manifest)
+        write_json(config.manifest_out, manifest)
     return 0
 
 
@@ -231,7 +232,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"{metrics.overall.n_no_model} without applicable model"
     )
     if config.report_out:
-        _write_json(config.report_out, metrics.to_dict())
+        write_json(config.report_out, metrics.to_dict())
     return 0
 
 
@@ -275,7 +276,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     )
     print(report.table())
     if config.report_out:
-        _write_json(config.report_out, report.to_dict())
+        write_json(config.report_out, report.to_dict())
     if config.table_out:
         Path(config.table_out).write_text(report.table() + "\n", encoding="utf-8")
     return 0

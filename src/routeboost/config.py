@@ -31,10 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import read_json
+from .data import is_integer, is_name_list, is_number, read_json
 from .ensemble import ENSEMBLE_MODES
 from .errors import ConfigError
-from .learners import LearnerConfig, is_name_list
+from .learners import LearnerConfig
 from .subsetting import StrategyOptions
 
 @dataclass
@@ -123,15 +123,15 @@ def load_run_config(
     return config
 
 
-# JSON value types of the RunConfig and LearnerConfig field annotations.
+# Whether a JSON value fits a RunConfig or LearnerConfig field annotation.
 _JSON_TYPES = {
-    "str": str,
-    "bool": bool,
-    "int": int,
-    "float": (int, float),
-    "list[str]": list,
-    "dict[str, Any]": dict,
-    "dict[str, list[str]]": dict,
+    "str": lambda value: isinstance(value, str),
+    "bool": lambda value: isinstance(value, bool),
+    "int": is_integer,
+    "float": is_number,
+    "list[str]": is_name_list,
+    "dict[str, Any]": lambda value: isinstance(value, dict),
+    "dict[str, list[str]]": lambda value: isinstance(value, dict),
 }
 
 
@@ -140,9 +140,7 @@ def _check_type(path, key: str, value: Any, owner: type = RunConfig) -> None:
     kind = owner.__dataclass_fields__[key].type
     if value is None and kind.endswith(" | None"):
         return
-    expected = _JSON_TYPES[kind.removesuffix(" | None")]
-    ok = isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
-    if not ok or kind == "list[str]" and not is_name_list(value):
+    if not _JSON_TYPES[kind.removesuffix(" | None")](value):
         raise ConfigError(f"{path}: {key!r} must be {kind}, got {value!r}")
     if kind.startswith("dict[str, list[str]]"):
         what = "group" if key == "segments" else "signal"

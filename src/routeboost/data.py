@@ -7,6 +7,10 @@ safe to share across threads; every operation returns a new dataset.
 
 CSV format: UTF-8, header line of signal names, comma separator, ``.``
 decimal point, empty field = missing value, LF or CRLF line endings.
+
+The JSON documents (config, model, layout, strata) are read by
+``read_json``, written by ``write_json`` and checked with the name,
+number and integer helpers beside them.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -287,18 +293,6 @@ def load_dataset(path: str | Path, target: SignalId) -> Dataset:
     return Dataset(table.signals, table.values, target)
 
 
-def read_json(path: str | Path, error: type[InputError], what: str):
-    """The JSON document in the file at ``path``; text that is not UTF-8,
-    not JSON or nested past the recursion limit raises ``error``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise error(f"{what}: {path} is not UTF-8 text ({exc})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise error(f"{what}: {path} is not valid JSON ({exc})") from None
-
-
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV; missing cells become empty fields.
 
@@ -367,3 +361,74 @@ def coalesce_signals(
     if target in set(sources):
         target = merged
     return Dataset(tuple(out_signals), np.column_stack(out_cols), target)
+
+
+# --- JSON documents -------------------------------------------------------------
+# "A name", "a number" and "an integer" mean the same in every document.
+# The predicates answer yes or no; the checks return the value or raise
+# (``signal_names`` TypeError, ``number`` and ``integer`` ValueError
+# naming the field).
+
+
+def read_json(path: str | Path, error: type[InputError], what: str):
+    """The JSON document in the file at ``path``; text that is not UTF-8,
+    not JSON or nested past the recursion limit raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: {path} is not UTF-8 text ({exc})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what}: {path} is not valid JSON ({exc})") from None
+
+
+def write_json(path: str | Path, obj) -> None:
+    """``obj`` as JSON with sorted keys, two-space indents and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True))
+        fh.write("\n")
+
+
+def is_name_list(value) -> bool:
+    """Whether a decoded JSON value is a list of names (strings)."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def is_number(value) -> bool:
+    """Whether a decoded JSON value is a finite real that is not a bool.
+
+    ``NaN``, ``Infinity``, ``1e400`` (read as infinity) and an integer
+    too large for a float are not numbers.
+    """
+    return (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def is_integer(value) -> bool:
+    """Whether a decoded JSON value is an integer; ``true`` and ``1.0`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def signal_names(value) -> tuple[str, ...]:
+    """A JSON list of names as a tuple; TypeError for anything else,
+    including a string, which would otherwise split into characters."""
+    if not is_name_list(value):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    return tuple(value)
+
+
+def number(value, field: str) -> float:
+    """A JSON number as a float; ValueError naming ``field`` for anything else."""
+    if not is_number(value):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(value, field: str) -> int:
+    """A JSON integer; ValueError naming ``field`` for anything else."""
+    if not is_integer(value):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value

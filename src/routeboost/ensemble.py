@@ -16,13 +16,12 @@ evaluation machinery applies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, SignalId, read_json
+from .data import Dataset, SignalId, read_json, signal_names, write_json
 from .errors import (
     EmptySubset,
     EmptyTrainingSet,
@@ -36,7 +35,6 @@ from .learners import (
     fit,
     learner_from_dict,
     learner_to_dict,
-    signal_names,
 )
 from .subsetting import SubsetSpec, training_rows, validate_nested_chain
 
@@ -206,7 +204,11 @@ def train_boosting_branched(
     every other spec. Each branch is fit against the base prediction
     alone. Branches may fire together: a row with the signals of several
     branches gets the base plus the sum of all their corrections, though
-    none was fit with another's correction in place.
+    none was fit with another's correction in place. That holds for
+    nested branches too: a branch whose features contain another
+    branch's is still fit against the base alone, so a row of a wide
+    route adds several corrections, each fit to the whole residual. The
+    README section on branches measures what that costs.
     """
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
@@ -405,9 +407,7 @@ def model_from_dict(d: dict) -> EnsembleModel:
 
 
 def save_model(model: EnsembleModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> EnsembleModel:

@@ -9,7 +9,6 @@ layout, produce bit-identical parameters.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -17,6 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .data import integer, number, signal_names
 from .errors import ArityMismatch, EmptyTrainingSet, SingularSystem
 
 LEARNER_KINDS = ("mean", "ridge", "tree")
@@ -63,6 +63,7 @@ class MeanLearner:
     kind = "mean"
 
     def predict_one(self, x: Sequence[float]) -> float:
+        """The fitted mean; ``x`` takes the forms ``_row`` describes."""
         _row(x, self.features)
         return self.value
 
@@ -90,7 +91,8 @@ class RidgeLearner:
         ``predict_matrix`` adds the same terms in the same order, so a
         row scored alone and inside any batch gives the same bits; a BLAS
         dot product or ``X @ w`` would not, and neither would ``sum``,
-        which compensates its rounding from Python 3.12 on.
+        which compensates its rounding from Python 3.12 on. ``x`` takes
+        the forms ``_row`` describes: a plain list must hold floats.
         """
         terms = map(operator.mul, _row(x, self.features), self._weight_list)
         return float(self.intercept + reduce(operator.add, terms, 0.0))
@@ -110,6 +112,7 @@ class TreeLearner:
     kind = "tree"
 
     def predict_one(self, x: Sequence[float]) -> float:
+        """The leaf ``x`` reaches; ``x`` takes the forms ``_row`` describes."""
         xv = _row(x, self.features)
         node = self.root
         while isinstance(node, Split):
@@ -170,8 +173,16 @@ def _check_arity(x, features: tuple[str, ...], ndim: int = 1) -> np.ndarray:
 
 
 def _row(x, features: tuple[str, ...]) -> list:
-    """One row of the features as a list; a list of the right length is
-    taken as it is, anything else goes through ``_check_arity``."""
+    """One row of the features as a list, for ``predict_one``.
+
+    A plain ``list`` of the right length is taken as it is and must hold
+    floats: its elements are not checked, so the per-row path pays for
+    no check. ``predict_with_members`` builds such a list from its row
+    mapping, whose values are floats when the row comes from
+    ``Dataset.row_values``. Any other input (a tuple, an array, a list
+    of the wrong length) goes through ``_check_arity``, which converts
+    it or raises ArityMismatch.
+    """
     if type(x) is list and len(x) == len(features):
         return x
     return _check_arity(x, features).tolist()
@@ -376,27 +387,18 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def is_name_list(value) -> bool:
-    """Whether a decoded JSON value is a list of names (strings)."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def signal_names(value) -> tuple[str, ...]:
-    """A JSON list of names as a tuple; TypeError for anything else,
-    including a string, which would otherwise split into characters."""
-    if not is_name_list(value):
-        raise TypeError(f"expected a list of names, got {value!r}")
-    return tuple(value)
-
-
 def _node_from_dict(d: dict, n_features: int) -> TreeNode:
     if "value" in d:
-        return Leaf(float(d["value"]), int(d["n_rows"]))
-    if d["feature"] not in range(n_features):
-        raise ValueError(f"tree splits on feature {d['feature']!r} of {n_features}")
+        n_rows = integer(d["n_rows"], "n_rows")
+        if n_rows < 1:
+            raise ValueError(f"n_rows must be at least 1, got {n_rows}")
+        return Leaf(number(d["value"], "leaf value"), n_rows)
+    feature = integer(d["feature"], "feature")
+    if feature not in range(n_features):
+        raise ValueError(f"tree splits on feature {feature} of {n_features}")
     return Split(
-        int(d["feature"]),
-        float(d["threshold"]),
+        feature,
+        number(d["threshold"], "threshold"),
         _node_from_dict(d["left"], n_features),
         _node_from_dict(d["right"], n_features),
     )
@@ -426,21 +428,16 @@ def learner_from_dict(d: dict) -> FittedLearner:
     features = signal_names(d["features"])
     params = d["parameters"]
     if kind == "mean":
-        return MeanLearner(features, float(params["value"]))
+        return MeanLearner(features, number(params["value"], "mean value"))
     if kind == "ridge":
-        weights = np.array(params["weights"], dtype=np.float64)
-        if weights.shape != (len(features),):
-            raise ValueError(f"{weights.size} weights for {len(features)} features")
-        return RidgeLearner(features, float(params["intercept"]), weights)
+        if not isinstance(params["weights"], list):
+            raise TypeError(f"weights must be a list, got {params['weights']!r}")
+        weights = [number(w, "weight") for w in params["weights"]]
+        if len(weights) != len(features):
+            raise ValueError(f"{len(weights)} weights for {len(features)} features")
+        return RidgeLearner(features, number(params["intercept"], "intercept"), weights)
     if kind == "tree":
         root = _node_from_dict(params["root"], len(features))
         return TreeLearner(features, root)
     raise ValueError(f"unknown learner kind {kind!r}")
 
-
-def learner_to_json(learner: FittedLearner) -> str:
-    return json.dumps(learner_to_dict(learner), indent=2, sort_keys=True)
-
-
-def learner_from_json(text: str) -> FittedLearner:
-    return learner_from_dict(json.loads(text))

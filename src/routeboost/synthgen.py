@@ -21,14 +21,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from numbers import Real
 from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, SignalId
+from .data import Dataset, SignalId, is_name_list, is_number, number, signal_names
 from .errors import InvalidLayout
-from .learners import is_name_list, signal_names
 
 PROBABILITY_TOL = 1e-9
 
@@ -47,7 +45,7 @@ class SignalSpec:
         kind, *params = self.dist or (None,)
         if kind not in ("normal", "uniform"):
             raise InvalidLayout(f"signal {self.name!r}: unknown distribution {kind!r}")
-        if len(params) != 2 or not all(_is_number(p) for p in params):
+        if len(params) != 2 or not all(is_number(p) for p in params):
             raise InvalidLayout(
                 f"signal {self.name!r}: {kind} needs two numbers, got {params!r}"
             )
@@ -55,10 +53,6 @@ class SignalSpec:
             raise InvalidLayout(f"signal {self.name!r}: negative sd")
         if kind == "uniform" and params[1] < params[0]:
             raise InvalidLayout(f"signal {self.name!r}: empty uniform range")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -111,6 +105,15 @@ class PlantLayout:
                 sig.validate()
         if not self.routes:
             raise InvalidLayout("layout declares no routes")
+        rule = self.target_rule
+        numbers = [(f"route {r.name!r}: probability", r.probability) for r in self.routes]
+        numbers += [(f"coefficient of {s!r}", c) for s, c in rule.coefficients.items()]
+        numbers += [("intercept", rule.intercept), ("noise_sigma", rule.noise_sigma)]
+        try:
+            for field, value in numbers:
+                number(value, field)
+        except ValueError as exc:
+            raise InvalidLayout(str(exc)) from None
         total = 0.0
         for route in self.routes:
             if route.probability <= 0:
@@ -121,10 +124,10 @@ class PlantLayout:
                     raise InvalidLayout(f"route {route.name!r}: unknown unit {name!r}")
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise InvalidLayout(f"route probabilities sum to {total!r}, expected 1")
-        for name in self.target_rule.coefficients:
+        for name in rule.coefficients:
             if name not in signals:
                 raise InvalidLayout(f"coefficient references unknown signal {name!r}")
-        if self.target_rule.noise_sigma < 0:
+        if rule.noise_sigma < 0:
             raise InvalidLayout("noise_sigma must be non-negative")
 
     def signal_names(self) -> list[SignalId]:
@@ -276,17 +279,17 @@ def generate(spec: GenSpec) -> Dataset:
     coeffs = rule.coefficients
     for r, route in enumerate(layout.routes):
         rows = np.flatnonzero(route_of == r)
-        total = np.full(rows.size, float(rule.intercept))
+        total = np.full(rows.size, rule.intercept, dtype=np.float64)
         for sig in _route_draws(layout, route):
             j = col_index[sig.name]
             kind, first, second = sig.dist
             # mean + sd * z, or lo + (hi - lo) * u
             scale = second if kind == "normal" else second - first
-            v = float(first) + float(scale) * values[rows, j]
+            v = first + scale * values[rows, j]
             values[rows, j] = v
-            total = total + float(coeffs.get(sig.name, 0.0)) * v
+            total = total + coeffs.get(sig.name, 0.0) * v
         t = col_index[target]
-        values[rows, t] = total + float(rule.noise_sigma) * values[rows, t]
+        values[rows, t] = total + rule.noise_sigma * values[rows, t]
     values.flags.writeable = False  # nothing else holds it, so Dataset need not copy
     return Dataset(columns, values, target)
 
@@ -334,7 +337,7 @@ def layout_from_dict(d: dict) -> PlantLayout:
             for u in d["units"]
         )
         routes = tuple(
-            Route(r["name"], signal_names(r["units"]), float(r["probability"]))
+            Route(r["name"], signal_names(r["units"]), r["probability"])
             for r in d["routes"]
         )
         rule = d["target_rule"]
@@ -343,9 +346,9 @@ def layout_from_dict(d: dict) -> PlantLayout:
             routes,
             TargetRule(
                 rule["target"],
-                float(rule["intercept"]),
-                {k: float(v) for k, v in rule["coefficients"].items()},
-                float(rule["noise_sigma"]),
+                rule["intercept"],
+                rule["coefficients"],
+                rule["noise_sigma"],
             ),
         )
         layout.validate()

@@ -386,25 +386,71 @@ C_MEMBER = dict(
 )
 
 
+def boosting(*members):
+    return {"mode": "boosting", "target": "Y", "members": list(members)}
+
+
+def member_with(kind, parameters):
+    return dict(MEAN_MEMBER, learner=dict(MEAN_MEMBER["learner"], kind=kind, parameters=parameters))
+
+
+def leaf(value=1.0, n_rows=3):
+    return {"value": value, "n_rows": n_rows}
+
+
+def split(feature=0, threshold=3.5, value=1.0, n_rows=3):
+    return {"feature": feature, "threshold": threshold, "left": leaf(value, n_rows), "right": leaf()}
+
+
+def tree_with(**node):
+    return boosting(member_with("tree", {"root": split(**node)}))
+
+
+MALFORMED_MODELS = {
+    name: json.dumps(doc)
+    for name, doc in {
+        "not-an-object": [1, 2],
+        "no-members": {"mode": "boosting", "target": "Y"},
+        "empty-members": boosting(),
+        "unknown-learner": boosting(SVM_MEMBER),
+        "base-not-nested": boosting(C_MEMBER, MEAN_MEMBER),
+        "n-rows-0": tree_with(n_rows=0),
+        "n-rows-neg": tree_with(n_rows=-3),
+        "n-rows-float": tree_with(n_rows=1.0),
+        "n-rows-true": tree_with(n_rows=True),
+        "feature-float": tree_with(feature=0.0),
+        "feature-true": tree_with(feature=True),
+        "feature-neg": tree_with(feature=-1),
+        "feature-past-end": tree_with(feature=1),
+    }.items()
+}
+# Each bad number goes in as raw JSON text where BAD stands, since
+# ``1e400`` has no Python spelling.
+BAD = "@BAD@"
+BAD_MEMBERS = {
+    "mean-value": member_with("mean", {"value": BAD}),
+    "intercept": member_with("ridge", {"intercept": BAD, "weights": [2.0]}),
+    "weight": member_with("ridge", {"intercept": 0.0, "weights": [BAD]}),
+    "threshold": member_with("tree", {"root": split(threshold=BAD)}),
+    "leaf-value": member_with("tree", {"root": split(value=BAD)}),
+}
+BAD_NUMBERS = {
+    "nan": "NaN", "inf": "Infinity", "1e400": "1e400", "string": '"1.0"',
+    "true": "true", "null": "null",
+}
+MALFORMED_MODELS.update(
+    (f"{field}-{name}", json.dumps(boosting(member)).replace(json.dumps(BAD), raw))
+    for field, member in BAD_MEMBERS.items()
+    for name, raw in BAD_NUMBERS.items()
+)
+
+
 class TestMalformedModel:
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            [1, 2],
-            {"mode": "boosting", "target": "Y"},
-            {"mode": "boosting", "target": "Y", "members": []},
-            {"mode": "boosting", "target": "Y", "members": [SVM_MEMBER]},
-            {"mode": "boosting", "target": "Y", "members": [C_MEMBER, MEAN_MEMBER]},
-        ],
-        ids=[
-            "not-an-object", "no-members", "empty-members", "unknown-learner",
-            "base-not-nested",
-        ],
-    )
-    def test_exit_2(self, toy6_csv, tmp_path, capsys, doc, command):
+    @pytest.mark.parametrize("text", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+    def test_exit_2(self, toy6_csv, tmp_path, capsys, text, command):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc), encoding="utf-8")
+        model.write_text(text, encoding="utf-8")
         code = main(
             [
                 command, "--data", toy6_csv, "--model", str(model),
@@ -435,11 +481,14 @@ class TestMalformedConfig:
             ({"groups": {"a": "PLTCM_1"}}, "groups 'a' is not a list of signal names"),
             ({"test_fraction": 2}, "test_fraction must be within [0, 1], got 2"),
             ({"mode": "foo"}, "mode must be one of ['boosting', 'bagging'], got 'foo'"),
-            ({"learner": {"ridge_lambda": float("nan")}}, "ridge_lambda must be non-negative"),
+            ({"learner": {"ridge_lambda": float("nan")}}, "'ridge_lambda' must be float, got nan"),
+            ({"min_support": float("nan")}, "'min_support' must be float, got nan"),
+            ({"min_support": True}, "'min_support' must be float, got True"),
         ],
         ids=[
             "seed", "test-fraction", "ridge-lambda", "group-string",
-            "test-fraction-range", "mode", "ridge-lambda-nan",
+            "test-fraction-range", "mode", "ridge-lambda-nan", "min-support-nan",
+            "min-support-true",
         ],
     )
     def test_exit_2(self, steel_csv, tmp_path, capsys, doc, message):
@@ -559,8 +608,23 @@ class TestMalformedLayout:
                 lambda doc: doc["routes"][0].update(units="PLTCM"),
                 "expected a list of names, got 'PLTCM'",
             ),
+            (
+                lambda doc: doc["routes"][0].update(probability="0.5"),
+                "route 'narrow': probability must be a finite number, got '0.5'",
+            ),
+            (
+                lambda doc: doc["target_rule"]["coefficients"].update(CAL_1=True),
+                "coefficient of 'CAL_1' must be a finite number, got True",
+            ),
+            (
+                lambda doc: doc["target_rule"].update(noise_sigma=float("nan")),
+                "noise_sigma must be a finite number, got nan",
+            ),
         ],
-        ids=["sd-string", "mean-string", "two-element-dist", "target-list", "units-string"],
+        ids=[
+            "sd-string", "mean-string", "two-element-dist", "target-list", "units-string",
+            "probability-string", "coefficient-true", "noise-sigma-nan",
+        ],
     )
     def test_exit_2(self, tmp_path, capsys, change, message):
         layout = tmp_path / "layout.json"
