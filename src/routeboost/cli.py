@@ -2,7 +2,8 @@
 
 Subcommands: analyze, subset, train, predict, evaluate, generate, and
 benchmark. Exit codes: 0 success, 1 domain error (e.g. a non-nested
-chain), 2 input/config error. All randomness flows from --seed
+chain), 2 input/config error, 3 internal error (a fault in routeboost).
+All randomness flows from --seed
 (default 0); reruns with the same inputs produce byte-identical JSON.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -190,12 +190,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["prediction", "members", "reason"])
         for value, row_fired in zip(values.tolist(), fired.tolist()):
-            if math.isnan(value):
-                writer.writerow(["", "", "no-applicable-model"])
-            else:
+            if any(row_fired):
                 members = ",".join(n for n, f in zip(names, row_fired) if f)
                 writer.writerow([repr(value), members, ""])
-    n_ok = int(np.count_nonzero(~np.isnan(values)))
+            else:
+                writer.writerow(["", "", "no-applicable-model"])
+    n_ok = int(np.count_nonzero(fired.any(axis=1)))
     print(f"predicted {n_ok}/{table.n_rows} rows -> {out}")
     return 0
 
@@ -213,8 +213,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     try:
         metrics = evaluate(model, dataset, strata)
     except ValueError as exc:  # repeated stratum names
-        source = "strata manifest" if args.strata else "model"
-        raise InputError(f"malformed {source}: {exc}") from None
+        raise InputError(f"malformed strata manifest: {exc}") from None
 
     names = [name for name, _ in metrics.strata] + ["overall"]
     rows = [row for _, row in metrics.strata] + [metrics.overall]
@@ -390,16 +389,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
+        # Non-finite results are reported by the checks that find them,
+        # not by NumPy warnings on the way.
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -383,9 +383,14 @@ def read_json(path: str | Path, error: type[InputError], what: str):
 
 
 def write_json(path: str | Path, obj) -> None:
-    """``obj`` as JSON with sorted keys, two-space indents and a final newline."""
+    """``obj`` as JSON with sorted keys, two-space indents and a final newline.
+
+    NaN and infinities raise ValueError: strict JSON has no spelling for
+    them, and no report or model may hold one.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
+        fh.write(text)
         fh.write("\n")
 
 

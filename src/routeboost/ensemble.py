@@ -23,10 +23,13 @@ import numpy as np
 
 from .data import Dataset, SignalId, read_json, signal_names, write_json
 from .errors import (
+    DomainError,
     EmptySubset,
     EmptyTrainingSet,
     InputError,
+    InvalidModel,
     NoApplicableModel,
+    NonFinite,
     NotNested,
 )
 from .learners import (
@@ -65,6 +68,7 @@ class EnsembleModel:
     For boosting, member 0 is the base model and must use a subset of
     every other member's features (strict nesting for plain chains; the
     branched variant keeps one base plus incomparable branch residuals).
+    Member names are distinct and no member reads the target.
     """
 
     mode: str
@@ -83,12 +87,21 @@ class EnsembleModel:
                     raise NotNested(
                         f"base features are not a subset of member {m.name!r}"
                     )
+        names = [m.name for m in self.members]
+        for k, m in enumerate(self.members):
+            if m.name in names[:k]:
+                raise InvalidModel(f"two members are named {m.name!r}")
+            if self.target in m.feature_set:
+                raise InvalidModel(
+                    f"member {m.name!r} reads the target {self.target!r}"
+                )
 
     def applicable_members(self, row_signals: set[SignalId]) -> list[int]:
         """Indices of members whose entire feature set is present.
 
         For a nested boosting chain this is always a prefix of the member
-        order. The target's presence is irrelevant.
+        order, and in boosting any non-empty result holds the base. The
+        target's presence is irrelevant.
         """
         return [i for i, m in enumerate(self.members) if m.feature_set <= row_signals]
 
@@ -102,10 +115,7 @@ class EnsembleModel:
         """
         present = {s for s, v in row.items() if v == v}  # NaN != NaN
         applicable = self.applicable_members(present)
-        if self.mode == "boosting":
-            if not applicable or applicable[0] != 0:
-                raise NoApplicableModel("base model inputs are not available")
-        elif not applicable:
+        if not applicable:
             raise NoApplicableModel("no member has all its inputs available")
         total = 0.0
         for i in applicable:
@@ -124,14 +134,16 @@ class EnsembleModel:
         """Every row of a table scored at once: ``(values, fired)``.
 
         ``fired[i, k]`` says member k's inputs are all present in row i;
-        a member reading a column the table lacks never fires, and
-        neither the model's target nor the table's is an input.
-        ``values[i]`` is what ``predict`` returns for row i's other
-        present signals, bit for bit, and NaN where it would raise
-        NoApplicableModel.
+        a member reading a column the table lacks never fires, and the
+        table's target is not an input. Row i is scored iff any member
+        fired there: in boosting the base then fired too, as it reads a
+        subset of every member's inputs. ``values[i]`` is what
+        ``predict`` returns for row i's other present signals, bit for
+        bit, and NaN where no member fired.
         """
-        targets = {self.target, dataset.target}
-        columns = {s: j for j, s in enumerate(dataset.signals) if s not in targets}
+        columns = {
+            s: j for j, s in enumerate(dataset.signals) if s != dataset.target
+        }
         fired = np.zeros((dataset.n_rows, len(self.members)), dtype=bool)
         total = np.zeros(dataset.n_rows)
         for k, member in enumerate(self.members):
@@ -141,11 +153,11 @@ class EnsembleModel:
             rows = np.flatnonzero(fired[:, k])
             X = dataset.values[np.ix_(rows, [columns[s] for s in member.features])]
             total[rows] += member.learner.predict_matrix(X)
-        if self.mode == "boosting":
-            return np.where(fired[:, 0], total, np.nan), fired
-        n_fired = fired.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            return np.where(n_fired > 0, total / n_fired, np.nan), fired
+        scored = fired.any(axis=1)
+        if self.mode == "bagging":
+            total[scored] /= fired.sum(axis=1)[scored]
+        total[~scored] = np.nan
+        return total, fired
 
 
 def _fit_members(
@@ -301,9 +313,11 @@ def _metric_row(y: np.ndarray, pred: np.ndarray, n_no_model: int) -> MetricRow:
         return MetricRow(0, None, None, n_no_model)
     mae = float(np.mean(np.abs(y - pred)))
     sst = float(np.sum((y - y.mean()) ** 2))
+    sse = float(np.sum((y - pred) ** 2))
+    if not np.isfinite([mae, sst, sse]).all():
+        raise NonFinite("the errors or the target spread overflow float64")
     if sst == 0.0:
         return MetricRow(y.size, mae, None, n_no_model)
-    sse = float(np.sum((y - pred) ** 2))
     return MetricRow(y.size, mae, 1.0 - sse / sst, n_no_model)
 
 
@@ -314,7 +328,8 @@ def evaluate(
 
     R-squared uses each stratum's own target mean; a constant-target
     stratum reports it as undefined (None) while the MAE is still
-    computed. Stratum names must not repeat.
+    computed. Stratum names must not repeat. A scored row whose
+    prediction is not finite, or metrics that overflow, raise NonFinite.
     """
     if dataset.target is None:
         raise ValueError("evaluate requires a dataset with a target")
@@ -331,8 +346,12 @@ def evaluate(
             continue
         match = has_target & (assigned < 0) & dataset.rows_with(spec.features)
         assigned[match] = names.index(spec.name)
-    pred, _ = model.predict_dataset(dataset)
-    no_model = np.isnan(pred)
+    pred, fired = model.predict_dataset(dataset)
+    no_model = ~fired.any(axis=1)
+    overflow = np.flatnonzero(~no_model & ~np.isfinite(pred))
+    if overflow.size:
+        row = overflow[0]
+        raise NonFinite(f"row {row}: the prediction {float(pred[row])} is not finite")
     y = dataset.column(dataset.target)
 
     rows = []
@@ -400,10 +419,8 @@ def model_from_dict(d: dict) -> EnsembleModel:
         return EnsembleModel(d["mode"], target, members)
     except KeyError as exc:
         raise InputError(f"malformed model: missing field {exc}") from None
-    except (TypeError, ValueError, NotNested) as exc:
+    except (TypeError, ValueError, DomainError) as exc:
         raise InputError(f"malformed model: {exc}") from None
-    except RecursionError:
-        raise InputError("malformed model: nested too deeply to read") from None
 
 
 def save_model(model: EnsembleModel, path) -> None:

@@ -3,7 +3,8 @@
 Two families matter to callers: ``InputError`` covers unreadable or
 inconsistent inputs (files, configs, layouts) and maps to CLI exit code 2,
 ``DomainError`` covers method-level failures (invalid chains, empty
-subsets, inapplicable models) and maps to exit code 1.
+subsets, inapplicable models, results that overflow float64) and maps
+to exit code 1.
 """
 
 
@@ -101,3 +102,12 @@ class ArityMismatch(DomainError):
 
 class NoApplicableModel(DomainError):
     pass
+
+
+class InvalidModel(DomainError):
+    """An ensemble breaks a model invariant: repeated member names or a
+    member that reads the model's target."""
+
+
+class NonFinite(DomainError):
+    """A fitted parameter, a prediction or a metric overflowed float64."""

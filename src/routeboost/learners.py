@@ -17,9 +17,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from .data import integer, number, signal_names
-from .errors import ArityMismatch, EmptyTrainingSet, SingularSystem
+from .errors import ArityMismatch, EmptyTrainingSet, NonFinite, SingularSystem
 
 LEARNER_KINDS = ("mean", "ridge", "tree")
+# Bounds every recursive walk of a tree: fitting, reading, scoring.
+MAX_TREE_DEPTH = 64
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,8 @@ class LearnerConfig:
             raise ValueError("ridge_lambda must be non-negative and finite")
         if self.tree_max_depth < 1 or self.tree_min_leaf < 1:
             raise ValueError("tree_max_depth and tree_min_leaf must be >= 1")
+        if self.tree_max_depth > MAX_TREE_DEPTH:
+            raise ValueError(f"tree_max_depth must be at most {MAX_TREE_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,16 @@ class Split:
 
 
 TreeNode = Union[Leaf, Split]
+
+
+def _deeper_than(node: TreeNode, levels: int) -> bool:
+    """Whether the tree under ``node`` has more than ``levels`` splits on
+    some path; the walk goes at most ``levels + 1`` splits deep."""
+    if isinstance(node, Leaf):
+        return False
+    if levels == 0:
+        return True
+    return _deeper_than(node.left, levels - 1) or _deeper_than(node.right, levels - 1)
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,10 @@ class TreeLearner:
     features: tuple[str, ...]
     root: TreeNode
     kind = "tree"
+
+    def __post_init__(self) -> None:
+        if _deeper_than(self.root, MAX_TREE_DEPTH):
+            raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
 
     def predict_one(self, x: Sequence[float]) -> float:
         """The leaf ``x`` reaches; ``x`` takes the forms ``_row`` describes."""
@@ -213,7 +231,8 @@ def fit(
     """Fit one learner on a complete matrix.
 
     ``features`` names the columns of X in order; auto-named x0, x1, ...
-    when omitted.
+    when omitted. Values so large that a parameter overflows float64
+    raise NonFinite.
     """
     X, y = _as_training_arrays(X, y)
     names = tuple(features) if features is not None else tuple(
@@ -222,12 +241,34 @@ def fit(
     if len(names) != X.shape[1]:
         raise ValueError("features must name every column of X")
     if config.kind == "mean":
-        return MeanLearner(names, float(np.mean(y)))
-    if X.shape[1] == 0:
+        learner = MeanLearner(names, float(np.mean(y)))
+    elif X.shape[1] == 0:
         raise ValueError(f"{config.kind} learner needs at least one feature")
-    if config.kind == "ridge":
-        return _fit_ridge(config, X, y, names)
-    return _fit_tree(config, X, y, names)
+    elif config.kind == "ridge":
+        learner = _fit_ridge(config, X, y, names)
+    else:
+        learner = _fit_tree(config, X, y, names)
+    if not np.isfinite(_parameters(learner)).all():
+        raise NonFinite(
+            f"{config.kind} fit gave a non-finite parameter: the training "
+            "values are too large for float64"
+        )
+    return learner
+
+
+def _parameters(learner: FittedLearner) -> list[float]:
+    """Every number a fitted learner holds."""
+    if isinstance(learner, MeanLearner):
+        return [learner.value]
+    if isinstance(learner, RidgeLearner):
+        return [learner.intercept, *learner.weights.tolist()]
+
+    def walk(node: TreeNode) -> list[float]:
+        if isinstance(node, Leaf):
+            return [node.value]
+        return [node.threshold, *walk(node.left), *walk(node.right)]
+
+    return walk(learner.root)
 
 
 def _fit_ridge(
@@ -335,7 +376,10 @@ def _fit_tree(
     def build(rows: np.ndarray, depth: int, sorted_orders) -> TreeNode:
         ysub = y[rows]
         n = rows.shape[0]
-        mean = float(np.mean(ysub))
+        # The bits of np.mean(ysub), which would warn through the warnings
+        # module, past np.errstate, on the empty child that an overflowed
+        # threshold leaves; fit rejects that tree.
+        mean = float(ysub.sum() / n)
         node_sse = float(np.sum((ysub - mean) ** 2))
         if depth >= config.tree_max_depth or n < 2 * min_leaf or node_sse <= 0.0:
             return Leaf(mean, n)
@@ -387,20 +431,24 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict, n_features: int) -> TreeNode:
+def _node_from_dict(d: dict, n_features: int, depth: int = 0) -> TreeNode:
+    """The node ``d`` at ``depth`` splits below the root; reading stops
+    at a split below ``MAX_TREE_DEPTH``."""
     if "value" in d:
         n_rows = integer(d["n_rows"], "n_rows")
         if n_rows < 1:
             raise ValueError(f"n_rows must be at least 1, got {n_rows}")
         return Leaf(number(d["value"], "leaf value"), n_rows)
+    if depth == MAX_TREE_DEPTH:
+        raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
     feature = integer(d["feature"], "feature")
     if feature not in range(n_features):
         raise ValueError(f"tree splits on feature {feature} of {n_features}")
     return Split(
         feature,
         number(d["threshold"], "threshold"),
-        _node_from_dict(d["left"], n_features),
-        _node_from_dict(d["right"], n_features),
+        _node_from_dict(d["left"], n_features, depth + 1),
+        _node_from_dict(d["right"], n_features, depth + 1),
     )
 
 

@@ -367,10 +367,10 @@ class TestCoalesceFlag:
 
 
 
-def one_line_error(code, capsys) -> str:
-    """The stderr of a run that must exit 2 with one ``error:`` line."""
+def one_line_error(code, capsys, expected=2) -> str:
+    """The stderr of a run that must exit ``expected`` with one ``error:`` line."""
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == expected
     assert err.startswith("error: ") and err.count("\n") == 1
     return err
 
@@ -383,6 +383,9 @@ MEAN_MEMBER = {
 SVM_MEMBER = dict(MEAN_MEMBER, learner=dict(MEAN_MEMBER["learner"], kind="svm"))
 C_MEMBER = dict(
     MEAN_MEMBER, features=["C"], learner=dict(MEAN_MEMBER["learner"], features=["C"])
+)
+Y_MEMBER = dict(
+    MEAN_MEMBER, features=["Y"], learner=dict(MEAN_MEMBER["learner"], features=["Y"])
 )
 
 
@@ -414,6 +417,8 @@ MALFORMED_MODELS = {
         "empty-members": boosting(),
         "unknown-learner": boosting(SVM_MEMBER),
         "base-not-nested": boosting(C_MEMBER, MEAN_MEMBER),
+        "repeated-name": boosting(MEAN_MEMBER, MEAN_MEMBER),
+        "reads-target": boosting(Y_MEMBER),
         "n-rows-0": tree_with(n_rows=0),
         "n-rows-neg": tree_with(n_rows=-3),
         "n-rows-float": tree_with(n_rows=1.0),
@@ -484,11 +489,12 @@ class TestMalformedConfig:
             ({"learner": {"ridge_lambda": float("nan")}}, "'ridge_lambda' must be float, got nan"),
             ({"min_support": float("nan")}, "'min_support' must be float, got nan"),
             ({"min_support": True}, "'min_support' must be float, got True"),
+            ({"learner": {"tree_max_depth": 65}}, "tree_max_depth must be at most 64"),
         ],
         ids=[
             "seed", "test-fraction", "ridge-lambda", "group-string",
             "test-fraction-range", "mode", "ridge-lambda-nan", "min-support-nan",
-            "min-support-true",
+            "min-support-true", "tree-depth-cap",
         ],
     )
     def test_exit_2(self, steel_csv, tmp_path, capsys, doc, message):
@@ -524,6 +530,7 @@ class TestMalformedFlags:
         "flags,message",
         [
             (["--tree-max-depth", "0"], "tree_max_depth and tree_min_leaf must be >= 1"),
+            (["--tree-max-depth", "65"], "tree_max_depth must be at most 64"),
             (["--ridge-lambda", "-1"], "ridge_lambda must be non-negative"),
             (["--test-fraction", "-0.5"], "test_fraction must be within [0, 1], got -0.5"),
             (["--seed", "-1"], "seed must be non-negative, got -1"),
@@ -531,8 +538,8 @@ class TestMalformedFlags:
             (["--ridge-lambda", "inf"], "ridge_lambda must be non-negative"),
         ],
         ids=[
-            "tree-depth", "ridge-lambda", "test-fraction", "seed", "ridge-lambda-nan",
-            "ridge-lambda-inf",
+            "tree-depth", "tree-depth-cap", "ridge-lambda", "test-fraction", "seed",
+            "ridge-lambda-nan", "ridge-lambda-inf",
         ],
     )
     def test_benchmark_exit_2(self, toy6_csv, capsys, flags, message):
@@ -750,3 +757,87 @@ class TestUnreadableJson:
         model.write_text(deep_tree_model(depth), encoding="utf-8")
         argv = ["predict", "--data", toy6_csv, "--model", str(model), "--out", str(tmp_path / "p")]
         assert "malformed model" in one_line_error(main(argv), capsys)
+
+
+class TestOverflow:
+    """A row whose values overflow float64 under a fitted model."""
+
+    CSV = "A,B,Y\n1,2,3\n2,1,4\n3,5,6\n1e308,-1e308,7\n4,4,8\n5,2,9\n"
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        data = tmp_path / "over.csv"
+        data.write_text(self.CSV, encoding="utf-8")
+        member = dict(
+            MEAN_MEMBER,
+            features=["A", "B"],
+            learner={
+                "kind": "ridge",
+                "features": ["A", "B"],
+                "parameters": {"intercept": 0.0, "weights": [10.0, 10.0]},
+            },
+        )
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(boosting(member)), encoding="utf-8")
+        return str(data), str(model), tmp_path / "out"
+
+    def test_predict_writes_the_scored_value(self, paths, capsys):
+        data, model, out = paths
+        assert main(["predict", "--data", data, "--model", model, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[4] == "nan,base,"
+        assert rows[1] == "30.0,base,"
+        assert "predicted 6/6 rows" in capsys.readouterr().out
+
+    def test_evaluate_exit_1_without_report(self, paths, capsys):
+        data, model, out = paths
+        code = main(["evaluate", "--data", data, "--model", model, "--out", str(out)])
+        err = one_line_error(code, capsys, expected=1)
+        assert err == "error: row 3: the prediction nan is not finite\n"
+        assert not out.exists()
+
+    def test_train_exit_1_without_model(self, paths, capsys):
+        data, _, out = paths
+        code = main(
+            [
+                "train", "--data", data, "--target", "Y", "--strategy", "grouped",
+                "--model-out", str(out),
+            ]
+        )
+        assert "ridge fit gave a non-finite parameter" in one_line_error(
+            code, capsys, expected=1
+        )
+        assert not out.exists()
+
+
+def test_train_segment_named_base_exit_1(tmp_path, capsys):
+    """Boosting names member 0 ``base``; a segment of that name would repeat it."""
+    data = tmp_path / "plant.csv"
+    write_csv(generate(GenSpec(default_layout(), 2000, 1)), data)
+    groups, _ = steel_flags()
+    segments = {"x": ["PLTCM", "CAL"], "base": ["HSM1", "PLTCM", "CAL"]}
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"strategy": "routes", "groups": groups, "segments": segments}),
+        encoding="utf-8",
+    )
+    model = tmp_path / "model.json"
+    code = main(
+        [
+            "train", "--config", str(config), "--data", str(data), "--target", "Y",
+            "--model-out", str(model),
+        ]
+    )
+    err = one_line_error(code, capsys, expected=1)
+    assert err == "error: two members are named 'base'\n"
+    assert not model.exists()
+
+
+def test_internal_error_exit_3(toy6_csv, monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("routeboost.cli.cmd_analyze", broken)
+    code = main(["analyze", "--data", toy6_csv, "--target", "Y"])
+    err = one_line_error(code, capsys, expected=3)
+    assert err == "error: internal error (ZeroDivisionError): division by zero\n"

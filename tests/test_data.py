@@ -10,6 +10,7 @@ from routeboost.data import (
     load_dataset,
     load_table,
     write_csv,
+    write_json,
 )
 from routeboost.errors import (
     CoalesceConflict,
@@ -280,3 +281,11 @@ class TestRowsWith:
     def test_unknown_signal(self, toy6):
         with pytest.raises(UnknownSignal):
             toy6.rows_with(["A", "Z"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_numbers(tmp_path, bad):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"mae": bad})
+    assert not path.exists()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from routeboost.analysis import SignalGroup, infer_signal_groups
+from routeboost.benchmark import train_proposed
 from routeboost.data import Dataset, dataset_from_columns
 from routeboost.ensemble import (
     EnsembleMember,
@@ -22,13 +23,17 @@ from routeboost.errors import (
     EmptySubset,
     EmptyTrainingSet,
     InputError,
+    InvalidModel,
     NoApplicableModel,
+    NonFinite,
     NotNested,
 )
-from routeboost.learners import LearnerConfig, MeanLearner, fit
+from routeboost.learners import LearnerConfig, MeanLearner, RidgeLearner, fit
 from routeboost.subsetting import (
     RouteSegment,
+    StrategyOptions,
     SubsetSpec,
+    build_subset_specs,
     materialize,
     subsets_by_common_routes,
     subsets_by_grouped_signals,
@@ -145,6 +150,16 @@ class TestApplicability:
             applicable = model.applicable_members(ds.present_signals(i))
             assert applicable == list(range(len(applicable)))
 
+    @pytest.mark.parametrize("strategy", ["auto", "grouped"])
+    def test_base_fires_wherever_any_member_fires(self, strategy):
+        ds = generate(GenSpec(default_layout(), 3000, 4))
+        specs, _ = build_subset_specs(ds, StrategyOptions(strategy=strategy))
+        model = train_proposed(ds, specs, RIDGE, "boosting")
+        values, fired = model.predict_dataset(ds)
+        assert len(model.members) > 1 and not fired.all()
+        assert np.array_equal(fired[:, 0], fired.any(axis=1))
+        assert np.array_equal(np.isfinite(values), fired[:, 0])
+
 
 class TestPredict:
     def test_boosting_telescopes(self):
@@ -184,6 +199,20 @@ class TestPredict:
         assert model.predict({"a": 0.0}) == pytest.approx(
             shuffled.predict({"a": 0.0}), abs=1e-12
         )
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("mode", ["boosting", "bagging"])
+    def test_repeated_member_name(self, mode):
+        members = (constant_member("m", ("a",), 1.0), constant_member("m", ("a", "b"), 2.0))
+        with pytest.raises(InvalidModel, match="two members are named 'm'"):
+            EnsembleModel(mode, "Y", members)
+
+    @pytest.mark.parametrize("mode", ["boosting", "bagging"])
+    def test_member_reads_target(self, mode):
+        members = (constant_member("m", ("a",), 1.0), constant_member("n", ("a", "Y"), 2.0))
+        with pytest.raises(InvalidModel, match="member 'n' reads the target 'Y'"):
+            EnsembleModel(mode, "Y", members)
 
 
 class TestNanMeansAbsent:
@@ -308,6 +337,26 @@ class TestEvaluate:
         row = metrics.stratum("everything")
         assert row.n == 3  # C-rows predictable, D-rows have no applicable model
         assert row.n_no_model == 3
+
+    def test_non_finite_prediction_raises(self):
+        ds = dataset_from_columns(
+            {"a": [1.0, 1e308, 2.0], "b": [2.0, -1e308, None], "Y": [1.0, 2.0, 3.0]},
+            target="Y",
+        )
+        learner = RidgeLearner(("a", "b"), 0.0, [10.0, 10.0])
+        model = EnsembleModel("boosting", "Y", (EnsembleMember("base", ("a", "b"), learner),))
+        with np.errstate(all="ignore"):
+            values, fired = model.predict_dataset(ds)
+            assert fired[:, 0].tolist() == [True, True, False]
+            assert values[0] == 30.0 and np.isnan(values[1]) and np.isnan(values[2])
+            with pytest.raises(NonFinite, match="row 1: the prediction nan is not finite"):
+                evaluate(model, ds, [SubsetSpec("all", ("a",))])
+
+    def test_overflowing_metrics_raise(self):
+        ds = self.make_stratum_dataset([1e308, -1e308, 1e308])
+        model = EnsembleModel("bagging", "Y", (constant_member("m", ("a",), 0.0),))
+        with np.errstate(all="ignore"), pytest.raises(NonFinite, match="overflow"):
+            evaluate(model, ds, [SubsetSpec("all", ("a",))])
 
     def test_repeated_stratum_name_rejected(self, toy6):
         model = EnsembleModel("boosting", "Y", (constant_member("base", ("A",), 1.0),))

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import routeboost.learners as learners
-from routeboost.errors import ArityMismatch, EmptyTrainingSet, SingularSystem
+from routeboost.errors import ArityMismatch, DomainError, EmptyTrainingSet, SingularSystem
 from routeboost.learners import (
+    MAX_TREE_DEPTH,
     LearnerConfig,
     Leaf,
     MeanLearner,
@@ -451,3 +452,58 @@ class TestRowIndependence:
         for x in ([1.0], [1.0, 2.0, 3.0], np.zeros((1, 2)), [[1.0, 2.0]], np.zeros(3)):
             with pytest.raises(ArityMismatch):
                 model.predict_one(x)
+
+
+@pytest.mark.parametrize(
+    "config,X,y",
+    [
+        (
+            LearnerConfig(kind="ridge"),
+            [[1, 2], [2, 1], [3, 5], [1e308, -1e308], [4, 4], [5, 2]],
+            [3, 4, 6, 7, 8, 9],
+        ),
+        (LearnerConfig(kind="mean"), [[0.0]] * 4, [1.7e308] * 4),
+        (
+            # The split midpoint overflows to an infinite threshold.
+            LearnerConfig(kind="tree", tree_max_depth=1, tree_min_leaf=1),
+            [[1.5e308], [1.5e308], [1.7e308], [1.7e308]],
+            [0, 0, 10, 10],
+        ),
+    ],
+    ids=["ridge", "mean", "tree"],
+)
+def test_fit_rejects_overflowing_parameters(config, X, y):
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"{config.kind} fit"):
+        fit(config, X, y)
+
+
+def chain_tree(depth: int, shared: bool = False):
+    """A tree whose left spine is ``depth`` splits deep; with ``shared``
+    both children of a split are one object, as only a hand-built tree can be."""
+    node = Leaf(0.0, 1)
+    for _ in range(depth):
+        node = Split(0, 0.5, node, node if shared else Leaf(1.0, 1))
+    return node
+
+
+class TestDepthCap:
+    def test_config(self):
+        assert LearnerConfig(kind="tree", tree_max_depth=MAX_TREE_DEPTH)
+        with pytest.raises(ValueError, match="at most 64"):
+            LearnerConfig(kind="tree", tree_max_depth=MAX_TREE_DEPTH + 1)
+
+    def test_hand_built_tree(self):
+        tree = TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH))
+        assert tree.depth() == MAX_TREE_DEPTH
+        assert tree.predict_one([0.0]) == 0.0
+        for depth, shared in [(MAX_TREE_DEPTH + 1, False), (3000, True)]:
+            with pytest.raises(ValueError, match="deeper than 64 levels"):
+                TreeLearner(("a",), chain_tree(depth, shared))
+
+    def test_reading(self):
+        doc = learner_to_dict(TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH)))
+        assert learner_from_dict(doc).depth() == MAX_TREE_DEPTH
+        root = doc["parameters"]["root"]
+        doc["parameters"]["root"] = {"feature": 0, "threshold": 0.5, "left": root, "right": root}
+        with pytest.raises(ValueError, match="deeper than 64 levels"):
+            learner_from_dict(doc)
