@@ -249,11 +249,15 @@ def fit(
     else:
         learner = _fit_tree(config, X, y, names)
     if not np.isfinite(_parameters(learner)).all():
-        raise NonFinite(
-            f"{config.kind} fit gave a non-finite parameter: the training "
-            "values are too large for float64"
-        )
+        raise _overflow(config.kind)
     return learner
+
+
+def _overflow(kind: str) -> NonFinite:
+    return NonFinite(
+        f"{kind} fit gave a non-finite parameter: the training values are "
+        "too large for float64"
+    )
 
 
 def _parameters(learner: FittedLearner) -> list[float]:
@@ -279,6 +283,7 @@ def _fit_ridge(
     With ridge_lambda = 0 a rank-deficient Gram matrix raises
     SingularSystem, as does a Cholesky factorization that fails in
     floating point, which a tiny positive ridge_lambda does not prevent.
+    A Gram matrix or right-hand side that overflows raises NonFinite.
     """
     mu = X.mean(axis=0)
     Xc = X - mu
@@ -289,6 +294,9 @@ def _fit_ridge(
         Xc = Xc / scale
     gram = Xc.T @ Xc + config.ridge_lambda * np.eye(X.shape[1])
     rhs = Xc.T @ y
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        # An overflowed Gram matrix would read as singular or solve to inf.
+        raise _overflow(config.kind)
     if config.ridge_lambda == 0.0 and np.linalg.matrix_rank(gram) < gram.shape[0]:
         # Cholesky can slip past an exactly singular Gram matrix on a
         # rounded tiny pivot; any positive penalty makes this impossible.
@@ -324,18 +332,29 @@ def scan_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     lo, hi = min_leaf - 1, n - min_leaf
     if lo >= hi:
         return None
-    sums = np.cumsum(ys)
-    sqs = np.cumsum(ys * ys)
+    sums = ys.cumsum()
+    sqs = ys * ys
+    sqs.cumsum(out=sqs)
     left_sum = sums[lo:hi]
     left_sq = sqs[lo:hi]
     right_sum = sums[-1] - left_sum
     right_sq = sqs[-1] - left_sq
     i = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    score = (left_sq - left_sum * left_sum / i) + (
-        right_sq - right_sum * right_sum / (n - i)
-    )
-    score[(xs[lo:hi] == xs[lo + 1 : hi + 1]) | np.isnan(score)] = np.inf
-    k = int(np.argmin(score))
+    # (left_sq - left_sum * left_sum / i)
+    #     + (right_sq - right_sum * right_sum / (n - i)),
+    # one operation at a time in that order, in place where a buffer is free.
+    score = left_sum * left_sum
+    score /= i
+    np.subtract(left_sq, score, out=score)
+    right_sum *= right_sum
+    np.subtract(n, i, out=i)
+    right_sum /= i
+    np.subtract(right_sq, right_sum, out=right_sq)
+    score += right_sq
+    skip = xs[lo:hi] == xs[lo + 1 : hi + 1]
+    skip |= np.isnan(score)
+    score[skip] = np.inf
+    k = int(score.argmin())
     best_score = float(score[k])
     if best_score == np.inf:
         return None
@@ -348,6 +367,21 @@ def scan_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
         # the partition matches the scanned boundary.
         thr = a
     return pos, thr, best_score
+
+
+def _stable_order(column: np.ndarray) -> np.ndarray:
+    """``np.argsort(column, kind="stable")``, by a cheaper sort when it can.
+
+    Distinct values have one ascending order, which any sort finds, so
+    the unstable argsort is kept when no two sorted neighbours are equal
+    (``==``, so -0.0 ties 0.0). A column with a tie is sorted again
+    stably, which orders each tie by row index.
+    """
+    order = np.argsort(column)
+    values = column[order]
+    if (values[1:] == values[:-1]).any():
+        return np.argsort(column, kind="stable")
+    return order
 
 
 def _fit_tree(
@@ -364,14 +398,19 @@ def _fit_tree(
     the training set itself is smaller.
 
     Each feature is sorted once per fit (SLIQ's presorting, Mehta et al.,
-    EDBT 1996). A node's orders list its rows by (value, row index) per
-    feature; a child keeps its share of each, which is exactly the stable
-    sort of its own values, so every node scans what a per-node stable
-    argsort would give. A child's orders are formed only when it scans,
-    and the right child's only after the left subtree is built.
+    EDBT 1996), by ``_stable_order``. A node's orders list its rows by
+    (value, row index) per feature; a child keeps its share of each,
+    which is exactly the stable sort of its own values, so every node
+    scans what a per-node stable argsort would give. The share is read
+    through one row mask per fit: just before a child's orders are
+    formed, its side of the split is stamped over the parent's rows, so
+    a node's work is proportional to its own rows. A child's orders are
+    formed only when it scans, and the right child's only after the left
+    subtree, which restamps its own rows, is built.
     """
     min_leaf = config.tree_min_leaf
-    columns = range(X.shape[1])
+    columns = [X[:, j] for j in range(X.shape[1])]
+    side = np.empty(X.shape[0], dtype=bool)
 
     def build(rows: np.ndarray, depth: int, sorted_orders) -> TreeNode:
         ysub = y[rows]
@@ -385,8 +424,8 @@ def _fit_tree(
             return Leaf(mean, n)
         orders = sorted_orders()
         best = None  # (score, feature, threshold)
-        for j, order in zip(columns, orders):
-            found = scan_split(X[order, j], y[order] - mean, min_leaf)
+        for j, (column, order) in enumerate(zip(columns, orders)):
+            found = scan_split(column[order], y[order] - mean, min_leaf)
             if found is None:
                 continue
             _, threshold, score = found
@@ -395,23 +434,20 @@ def _fit_tree(
         if best is None or best[0] >= node_sse:
             return Leaf(mean, n)
         _, feature, threshold = best
-        go_left = X[rows, feature] <= threshold
-        left = build(
-            rows[go_left],
-            depth + 1,
-            lambda: [o[X[o, feature] <= threshold] for o in orders],
-        )
-        right = build(
-            rows[~go_left],
-            depth + 1,
-            lambda: [o[X[o, feature] > threshold] for o in orders],
-        )
+        go_left = columns[feature][rows] <= threshold
+
+        def child_orders(mask: np.ndarray) -> list[np.ndarray]:
+            side[rows] = mask
+            return [o[side[o]] for o in orders]
+
+        left = build(rows[go_left], depth + 1, lambda: child_orders(go_left))
+        right = build(rows[~go_left], depth + 1, lambda: child_orders(~go_left))
         return Split(feature, threshold, left, right)
 
     root = build(
         np.arange(X.shape[0]),
         0,
-        lambda: [np.argsort(X[:, j], kind="stable") for j in columns],
+        lambda: [_stable_order(column) for column in columns],
     )
     return TreeLearner(names, root)
 

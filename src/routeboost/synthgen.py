@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset, SignalId, is_name_list, is_number, number, signal_names
-from .errors import InvalidLayout
+from .errors import InvalidLayout, NonFinite
 
 PROBABILITY_TOL = 1e-9
 
@@ -277,19 +277,32 @@ def generate(spec: GenSpec) -> Dataset:
     # the same operations in the same order as a row-at-a-time sum.
     rule = layout.target_rule
     coeffs = rule.coefficients
-    for r, route in enumerate(layout.routes):
-        rows = np.flatnonzero(route_of == r)
-        total = np.full(rows.size, rule.intercept, dtype=np.float64)
-        for sig in _route_draws(layout, route):
-            j = col_index[sig.name]
-            kind, first, second = sig.dist
-            # mean + sd * z, or lo + (hi - lo) * u
-            scale = second if kind == "normal" else second - first
-            v = first + scale * values[rows, j]
-            values[rows, j] = v
-            total = total + coeffs.get(sig.name, 0.0) * v
-        t = col_index[target]
-        values[rows, t] = total + rule.noise_sigma * values[rows, t]
+    t = col_index[target]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, route in enumerate(layout.routes):
+            rows = np.flatnonzero(route_of == r)
+            total = np.full(rows.size, rule.intercept, dtype=np.float64)
+            for sig in _route_draws(layout, route):
+                j = col_index[sig.name]
+                kind, first, second = sig.dist
+                # mean + sd * z, or lo + (hi - lo) * u
+                scale = second if kind == "normal" else second - first
+                v = first + scale * values[rows, j]
+                values[rows, j] = v
+                total = total + coeffs.get(sig.name, 0.0) * v
+            values[rows, t] = total + rule.noise_sigma * values[rows, t]
+    # A non-finite value makes its row's target sum non-finite, so the
+    # target column alone shows whether any row overflowed.
+    overflowed = np.flatnonzero(~np.isfinite(values[:, t]))
+    if overflowed.size:
+        i = int(overflowed[0])
+        route = layout.routes[route_of[i]]
+        drawn = [col_index[sig.name] for sig in _route_draws(layout, route)] + [t]
+        j = min(k for k in drawn if not math.isfinite(values[i, k]))
+        raise NonFinite(
+            f"row {i}, column {columns[j]!r}: the generated value {values[i, j]} "
+            "is not finite; the layout's numbers overflow float64"
+        )
     values.flags.writeable = False  # nothing else holds it, so Dataset need not copy
     return Dataset(columns, values, target)
 

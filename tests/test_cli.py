@@ -809,6 +809,38 @@ class TestOverflow:
         )
         assert not out.exists()
 
+    def test_unpenalized_ridge_overflow_is_not_singular(self, tmp_path, capsys):
+        """With ridge_lambda 0 an infinite Gram matrix would read as rank-deficient."""
+        data = tmp_path / "big.csv"
+        data.write_text("A,Y\n1.5e308,0\n1.5e308,0\n1.7e308,10\n1.7e308,10\n", encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = main(
+            [
+                "train", "--data", str(data), "--target", "Y", "--learner", "ridge",
+                "--ridge-lambda", "0", "--model-out", str(out),
+            ]
+        )
+        assert one_line_error(code, capsys, expected=1) == (
+            "error: ridge fit gave a non-finite parameter: the training values are "
+            "too large for float64\n"
+        )
+        assert not out.exists()
+
+    def test_generate_overflow_exit_1_without_csv(self, tmp_path, capsys):
+        from routeboost.synthgen import layout_to_dict
+
+        doc = layout_to_dict(default_layout())
+        doc["units"][0]["signals"][0]["dist"] = ["normal", 1e308, 1e308]
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "plant.csv"
+        argv = ["generate", "--out", str(out), "--rows", "200", "--seed", "1", "--layout", str(layout)]
+        assert one_line_error(main(argv), capsys, expected=1) == (
+            "error: row 21, column 'DES_1': the generated value -inf is not finite; "
+            "the layout's numbers overflow float64\n"
+        )
+        assert not out.exists()
+
 
 def test_train_segment_named_base_exit_1(tmp_path, capsys):
     """Boosting names member 0 ``base``; a segment of that name would repeat it."""

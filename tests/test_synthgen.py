@@ -3,7 +3,7 @@ import pytest
 
 from routeboost.analysis import SignalGroup, route_frequencies
 from routeboost.data import write_csv
-from routeboost.errors import InvalidLayout
+from routeboost.errors import InvalidLayout, NonFinite
 from routeboost.learners import LearnerConfig, fit
 from routeboost.subsetting import SubsetSpec, materialize
 from routeboost.synthgen import (
@@ -75,6 +75,26 @@ class TestGenerate:
     def test_values_are_allocated_once(self):
         spec = GenSpec(default_layout(), 10_000, 0)
         assert peak_over_values(lambda: generate(spec)) <= 1.5
+
+    @pytest.mark.parametrize(
+        "edit, cell",
+        [
+            (lambda d: d["units"][0]["signals"][0].update(dist=["normal", 1e308, 1e308]),
+             "row 21, column 'DES_1'"),
+            (lambda d: d["units"][0]["signals"][1].update(dist=["uniform", -1e308, 1e308]),
+             "row 0, column 'DES_2'"),
+            (lambda d: d["target_rule"]["coefficients"].update(PLTCM_1=1e308),
+             "row 4, column 'Y'"),
+        ],
+        ids=["signal", "uniform", "coefficient"],
+    )
+    def test_overflow_names_the_first_cell(self, edit, cell):
+        """Overflow raises, quietly (the suite errors on RuntimeWarning),
+        at the first non-finite cell in row order."""
+        doc = layout_to_dict(default_layout())
+        edit(doc)
+        with pytest.raises(NonFinite, match=rf"^{cell}: the generated value -?inf "):
+            generate(GenSpec(layout_from_dict(doc), 200, 1))
 
     def test_row_substreams_stable_under_row_count(self):
         layout = default_layout()
