@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset
 from .ensemble import (
+    ENSEMBLE_MODES,
     EnsembleModel,
     StratifiedMetrics,
     evaluate,
@@ -137,6 +138,8 @@ def train_proposed(
 ) -> EnsembleModel:
     """Train the route-aware ensemble; boosting falls back to the branched
     variant when the subsets do not form a single nested chain."""
+    if mode not in ENSEMBLE_MODES:
+        raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode == "bagging":
         return train_bagging(dataset, specs, config)
     try:

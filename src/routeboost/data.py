@@ -311,17 +311,20 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             fh.write(text.replace("nan", missing))
 
 
+# How far apart the present sources of a row may be when they are coalesced.
+COALESCE_TOLERANCE = 1e-9
+
+
 def coalesce_signals(
     dataset: Dataset,
     merged: SignalId,
     sources: Sequence[SignalId],
-    tol: float = 1e-9,
 ) -> Dataset:
     """Fuse interchangeable signals into one column.
 
     Per row the merged value is the first present source. Rows where
-    several sources are present must agree within ``tol``, otherwise the
-    data is inconsistent and CoalesceConflict is raised.
+    several sources are present must agree within ``COALESCE_TOLERANCE``,
+    otherwise the data is inconsistent and CoalesceConflict is raised.
     """
     if not sources:
         raise ValueError("coalesce needs at least one source signal")
@@ -336,7 +339,7 @@ def coalesce_signals(
     spread = np.where(present, block, -np.inf).max(axis=1) - np.where(
         present, block, np.inf
     ).min(axis=1)
-    conflicts = np.flatnonzero((present.sum(axis=1) > 1) & (spread > tol))
+    conflicts = np.flatnonzero((present.sum(axis=1) > 1) & (spread > COALESCE_TOLERANCE))
     if conflicts.size:
         row = conflicts[0]
         vals = block[row, present[row]]

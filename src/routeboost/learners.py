@@ -10,9 +10,9 @@ layout, produce bit-identical parameters.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .data import integer, number, signal_names
 from .errors import ArityMismatch, EmptyTrainingSet, NonFinite, SingularSystem
 
 LEARNER_KINDS = ("mean", "ridge", "tree")
-# Bounds every recursive walk of a tree: fitting, reading, scoring.
+# The most splits on any path of a tree. ``Split`` refuses a taller
+# tree and the reader stops there, so the recursive walks that remain
+# (fitting, reading, writing, scoring a matrix) stay shallow.
 MAX_TREE_DEPTH = 64
 
 
@@ -47,27 +49,38 @@ class LearnerConfig:
 class Leaf:
     value: float
     n_rows: int
+    height = 0
 
 
 @dataclass(frozen=True)
 class Split:
+    """A split over two subtrees. ``height``, the most splits on a path
+    down from here, is not a field: it is set from the children's, and a
+    split more than ``MAX_TREE_DEPTH`` high raises ValueError."""
+
     feature: int
     threshold: float
     left: "TreeNode"
     right: "TreeNode"
 
+    def __post_init__(self) -> None:
+        height = 1 + max(self.left.height, self.right.height)
+        if height > MAX_TREE_DEPTH:
+            raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
+        object.__setattr__(self, "height", height)
+
 
 TreeNode = Union[Leaf, Split]
 
 
-def _deeper_than(node: TreeNode, levels: int) -> bool:
-    """Whether the tree under ``node`` has more than ``levels`` splits on
-    some path; the walk goes at most ``levels + 1`` splits deep."""
-    if isinstance(node, Leaf):
-        return False
-    if levels == 0:
-        return True
-    return _deeper_than(node.left, levels - 1) or _deeper_than(node.right, levels - 1)
+def _nodes(root: TreeNode) -> Iterator[TreeNode]:
+    """The nodes under ``root`` in preorder, each split before its left subtree."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Split):
+            stack += [node.right, node.left]
 
 
 @dataclass(frozen=True)
@@ -125,10 +138,6 @@ class TreeLearner:
     root: TreeNode
     kind = "tree"
 
-    def __post_init__(self) -> None:
-        if _deeper_than(self.root, MAX_TREE_DEPTH):
-            raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
-
     def predict_one(self, x: Sequence[float]) -> float:
         """The leaf ``x`` reaches; ``x`` takes the forms ``_row`` describes."""
         xv = _row(x, self.features)
@@ -156,25 +165,10 @@ class TreeLearner:
         return out
 
     def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return self.root.height
 
     def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: TreeNode) -> None:
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+        return [node for node in _nodes(self.root) if isinstance(node, Leaf)]
 
 
 FittedLearner = Union[MeanLearner, RidgeLearner, TreeLearner]
@@ -266,13 +260,10 @@ def _parameters(learner: FittedLearner) -> list[float]:
         return [learner.value]
     if isinstance(learner, RidgeLearner):
         return [learner.intercept, *learner.weights.tolist()]
-
-    def walk(node: TreeNode) -> list[float]:
-        if isinstance(node, Leaf):
-            return [node.value]
-        return [node.threshold, *walk(node.left), *walk(node.right)]
-
-    return walk(learner.root)
+    return [
+        node.value if isinstance(node, Leaf) else node.threshold
+        for node in _nodes(learner.root)
+    ]
 
 
 def _fit_ridge(
@@ -456,17 +447,6 @@ def _fit_tree(
 # Floats are emitted via repr (shortest round-trip form), so save/load is
 # lossless for 64-bit values.
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"value": node.value, "n_rows": node.n_rows}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
 def _node_from_dict(d: dict, n_features: int, depth: int = 0) -> TreeNode:
     """The node ``d`` at ``depth`` splits below the root; reading stops
     at a split below ``MAX_TREE_DEPTH``."""
@@ -497,7 +477,7 @@ def learner_to_dict(learner: FittedLearner) -> dict:
             "weights": [float(w) for w in learner.weights],
         }
     elif isinstance(learner, TreeLearner):
-        params = {"root": _node_to_dict(learner.root)}
+        params = {"root": asdict(learner.root)}
     else:
         raise TypeError(f"not a fitted learner: {learner!r}")
     return {"kind": learner.kind, "features": list(learner.features), "parameters": params}

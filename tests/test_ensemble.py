@@ -134,6 +134,12 @@ class TestTrainBagging:
         with pytest.raises(EmptySubset):
             train_bagging(toy6, [SubsetSpec("both", ("C", "D"))], RIDGE)
 
+    @pytest.mark.parametrize("mode", ["bogus", "Bagging"])
+    def test_train_proposed_refuses_an_unknown_mode(self, toy6, mode):
+        specs = subsets_by_grouped_signals(toy6, infer_signal_groups(toy6), True)
+        with pytest.raises(ValueError, match=f"unknown ensemble mode {mode!r}"):
+            train_proposed(toy6, specs, RIDGE, mode)
+
 
 class TestApplicability:
     def test_prefix_selection_on_steel_model(self):

@@ -1,15 +1,17 @@
-"""Generated values and CSV bytes pinned by SHA-256 digests.
+"""Generated values, CSV bytes and a tree model pinned by SHA-256 digests.
 
-The digests were taken from the row-at-a-time generator and the
+The data digests were taken from the row-at-a-time generator and the
 cell-at-a-time writer (``tests/gen_oracle.py``, ``tests/csv_oracle.py``).
 Any change to the random stream, to the arithmetic that turns draws
-into values, or to the number formatting moves them.
+into values, or to the number formatting moves them. The model digest
+moves with any change to how trees are grown or written.
 """
 
 import hashlib
 
 import pytest
 
+from routeboost.cli import main
 from routeboost.data import write_csv
 from routeboost.synthgen import GenSpec, default_layout, generate
 
@@ -38,3 +40,15 @@ def test_default_plant_digests(tmp_path, rows, seed, values_sha256, csv_sha256):
     path = tmp_path / "plant.csv"
     write_csv(dataset, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
+
+
+def test_tree_model_digest(tmp_path):
+    data, model = tmp_path / "plant.csv", tmp_path / "model.json"
+    assert main(["generate", "--out", str(data), "--rows", "4000", "--seed", "5"]) == 0
+    assert main(
+        ["train", "--data", str(data), "--target", "Y", "--learner", "tree",
+         "--model-out", str(model)]
+    ) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+        "7da19fb7ae0d96f838907930b4e6eb610219318db3736b7e4e2b95605d93a09c"
+    )

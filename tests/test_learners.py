@@ -507,3 +507,18 @@ class TestDepthCap:
         doc["parameters"]["root"] = {"feature": 0, "threshold": 0.5, "left": root, "right": root}
         with pytest.raises(ValueError, match="deeper than 64 levels"):
             learner_from_dict(doc)
+
+
+class TestSplitHeight:
+    def test_split_refuses_a_65th_level(self):
+        top = chain_tree(MAX_TREE_DEPTH)
+        assert top.height == MAX_TREE_DEPTH and Leaf(0.0, 1).height == 0
+        for left, right in [(top, Leaf(1.0, 1)), (Leaf(1.0, 1), top)]:
+            with pytest.raises(ValueError, match="deeper than 64 levels"):
+                Split(0, 0.5, left, right)
+
+    def test_shared_children_are_not_walked_per_path(self):
+        # 2**64 paths: only calls that visit each node once can finish.
+        tree = TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH, shared=True))
+        assert tree.depth() == MAX_TREE_DEPTH
+        assert tree.predict_one([1.0]) == 0.0

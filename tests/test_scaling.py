@@ -34,10 +34,12 @@ CONSTANT = [
 # about two calls per line written or read, plus a few per block.
 PER_ROW = {"generate": 2.0, "write_csv": 2.001, "load_dataset": 2.063}
 
-# One scan_split (18 calls) per internal node and feature, and internal
-# nodes are fewer than half of all nodes: 20 calls per node and feature
-# leave room for NumPy versions, but not for one call per training row.
-TREE_CALLS_PER_NODE_FEATURE = 20
+# One scan_split per internal node and feature makes 6 calls: itself,
+# len, two cumsums, arange and argmin. With each node's own work, a fit
+# of the default plant makes 6.48 calls per node and feature (Python 3.11,
+# NumPy 2.4): 10 leave room for NumPy versions, but not for one call per
+# training row.
+TREE_CALLS_PER_NODE_FEATURE = 10
 
 
 def calls(fn, *args):
