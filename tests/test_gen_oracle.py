@@ -78,6 +78,25 @@ ZERO_TERMS = PlantLayout(
 )
 
 
+# One route of 33 draws after the route pick: 34 words, 9 Philox blocks.
+LONG_ROUTE = PlantLayout(
+    (
+        Unit("a", tuple(
+            SignalSpec(f"a{k}", ("uniform", -1.0, k) if k % 5 == 0 else ("normal", k, 1.5))
+            for k in range(31)
+        )),
+        Unit("b", (SignalSpec("b0", ("normal", 0.0, 2.0)),)),
+    ),
+    (Route("long", ("a", "b"), 0.7), Route("short", ("b",), 0.3)),
+    TargetRule("Y", 1.0, {f"a{k}": 0.1 * k for k in range(31)}, 0.5),
+)
+
+# Among the first 300 rows of the default plant with this seed, normal
+# draws leave the ziggurat's fast path both into its tail (layer 0) and
+# into a wedge (any other layer).
+TAIL_AND_WEDGE_SEED = 8
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     layout=layouts(),
@@ -87,6 +106,8 @@ ZERO_TERMS = PlantLayout(
 @example(layout=UNIFORM_FIRST_AND_LAST, n_rows=300, seed=2**64 - 1)
 @example(layout=ZERO_TERMS, n_rows=50, seed=3)
 @example(layout=default_layout(), n_rows=300, seed=0)
+@example(layout=LONG_ROUTE, n_rows=1000, seed=2**64 - 1)
+@example(layout=default_layout(), n_rows=300, seed=TAIL_AND_WEDGE_SEED)
 def test_generate_matches_reference(layout, n_rows, seed):
     spec = GenSpec(layout, n_rows, seed)
     got, want = generate(spec), gen_oracle.generate(spec)

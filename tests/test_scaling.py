@@ -4,8 +4,8 @@
 on the default plant (seed 5) at 2,000 and at 8,000 rows. A stage that
 works column by column makes the same number of calls at both sizes.
 Tree training varies only with the shape of the fitted trees. The three
-stages that still loop over rows are pinned at their calls per row, so
-that number can only fall.
+stages that still loop over rows, or over batches of rows, are pinned at
+their calls per row, so that number can only fall.
 """
 
 import gc
@@ -29,10 +29,13 @@ CONSTANT = [
 ]
 
 # Calls per row, (calls at LARGE - calls at SMALL) / (LARGE - SMALL), as
-# measured with Python 3.11 and NumPy 2.4 (12000, 12005 and 12374 calls
-# over the 6,000 rows): one bisect and one min per generated row, and
-# about two calls per line written or read, plus a few per block.
-PER_ROW = {"generate": 2.0, "write_csv": 2.001, "load_dataset": 2.063}
+# measured with Python 3.11 and NumPy 2.4 (300, 12005 and 12374 calls
+# over the 6,000 rows). generate makes 50 calls per batch of 1,024 rows
+# and none per row: the rows it redraws one at a time call only methods
+# of NumPy's Generator, which the profiler does not report. The CSV
+# stages make about two calls per line written or read, plus a few per
+# block.
+PER_ROW = {"generate": 0.05, "write_csv": 2.001, "load_dataset": 2.063}
 
 # One scan_split per internal node and feature makes 6 calls: itself,
 # len, two cumsums, arange and argmin. With each node's own work, a fit

@@ -209,6 +209,22 @@ class TestLayoutValidation:
         with pytest.raises(InvalidLayout):
             GenSpec(self.base_layout(), 10, 2**64)
 
+    @pytest.mark.parametrize(
+        "n_rows, seed, field",
+        [(10, 1.5, "seed"), (10, 1.0, "seed"), (10, True, "seed"), (10, np.True_, "seed"),
+         (10, "1", "seed"), (10.0, 1, "n_rows"), (True, 1, "n_rows"), (np.float64(10), 1, "n_rows")],
+    )
+    def test_counts_and_seeds_must_be_integers(self, n_rows, seed, field):
+        """A float seed would be truncated to another seed's data."""
+        with pytest.raises(InvalidLayout, match=f"^{field} must be an integer, got "):
+            GenSpec(self.base_layout(), n_rows, seed)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        spec = GenSpec(self.base_layout(), np.int64(20), np.uint64(2**64 - 1))
+        assert type(spec.n_rows) is int and type(spec.seed) is int
+        want = generate(GenSpec(self.base_layout(), 20, 2**64 - 1))
+        assert generate(spec).values.tobytes() == want.values.tobytes()
+
 
 class TestLayoutSerialization:
     def test_json_round_trip(self):
