@@ -17,6 +17,7 @@ evaluation machinery applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,7 +48,8 @@ ENSEMBLE_MODES = ("boosting", "bagging")
 @dataclass(frozen=True)
 class EnsembleMember:
     """A named learner; ``feature_set`` is its features as a frozenset,
-    made once at construction for the per-row applicability test."""
+    made once at construction. ``EnsembleModel`` puts it in its scoring
+    table as the member's per-row applicability test."""
 
     name: str
     features: tuple[SignalId, ...]
@@ -59,6 +61,17 @@ class EnsembleMember:
                 f"member {self.name!r}: learner features do not match member features"
             )
         object.__setattr__(self, "feature_set", frozenset(self.features))
+
+
+@dataclass(frozen=True)
+class _Values:
+    """A row mapping's values of fewer than two features, as a list:
+    ``itemgetter`` returns a bare value for one key and refuses none."""
+
+    features: tuple[SignalId, ...]
+
+    def __call__(self, row: Mapping[SignalId, float]) -> list[float]:
+        return [row[s] for s in self.features]
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,19 @@ class EnsembleModel:
                 raise InvalidModel(
                     f"member {m.name!r} reads the target {self.target!r}"
                 )
+        # The one-row scoring table, one entry per member in order:
+        # (inputs, name, row mapping -> the inputs' values, row kernel).
+        # Every entry pickles and deep-copies with the model.
+        scoring = tuple(
+            (
+                m.feature_set,
+                m.name,
+                itemgetter(*m.features) if len(m.features) > 1 else _Values(m.features),
+                m.learner._score_row,
+            )
+            for m in self.members
+        )
+        object.__setattr__(self, "_scoring", scoring)
 
     def applicable_members(self, row_signals: set[SignalId]) -> list[int]:
         """Indices of members whose entire feature set is present.
@@ -103,7 +129,9 @@ class EnsembleModel:
         order, and in boosting any non-empty result holds the base. The
         target's presence is irrelevant.
         """
-        return [i for i, m in enumerate(self.members) if m.feature_set <= row_signals]
+        return [
+            i for i, (need, *_) in enumerate(self._scoring) if need <= row_signals
+        ]
 
     def predict_with_members(
         self, row: Mapping[SignalId, float]
@@ -111,19 +139,22 @@ class EnsembleModel:
         """Prediction plus the names of the members that produced it.
 
         A NaN value marks its signal absent, as a NaN cell does in a
-        ``Dataset``.
+        ``Dataset``. The applicable members' scores are summed in member
+        order from 0.0, each by its learner's row kernel on the values
+        picked from ``row``.
         """
         present = {s for s, v in row.items() if v == v}  # NaN != NaN
-        applicable = self.applicable_members(present)
-        if not applicable:
-            raise NoApplicableModel("no member has all its inputs available")
         total = 0.0
-        for i in applicable:
-            member = self.members[i]
-            total += member.learner.predict_one([row[s] for s in member.features])
+        names = []
+        for need, name, pick, score in self._scoring:
+            if need <= present:
+                total += score(pick(row))
+                names.append(name)
+        if not names:
+            raise NoApplicableModel("no member has all its inputs available")
         if self.mode == "bagging":
-            total = total / len(applicable)
-        return total, [self.members[i].name for i in applicable]
+            total = total / len(names)
+        return total, names
 
     def predict(self, row: Mapping[SignalId, float]) -> float:
         """Boosting: sum of the applicable prefix. Bagging: their mean."""

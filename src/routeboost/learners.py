@@ -10,7 +10,7 @@ layout, produce bit-identical parameters.
 from __future__ import annotations
 
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator, Sequence, Union
 
@@ -91,7 +91,9 @@ class MeanLearner:
 
     def predict_one(self, x: Sequence[float]) -> float:
         """The fitted mean; ``x`` takes the forms ``_row`` describes."""
-        _row(x, self.features)
+        return self._score_row(_row(x, self.features))
+
+    def _score_row(self, xs: Sequence[float]) -> float:
         return self.value
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -121,7 +123,10 @@ class RidgeLearner:
         which compensates its rounding from Python 3.12 on. ``x`` takes
         the forms ``_row`` describes: a plain list must hold floats.
         """
-        terms = map(operator.mul, _row(x, self.features), self._weight_list)
+        return self._score_row(_row(x, self.features))
+
+    def _score_row(self, xs: Sequence[float]) -> float:
+        terms = map(operator.mul, xs, self._weight_list)
         return float(self.intercept + reduce(operator.add, terms, 0.0))
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -140,11 +145,13 @@ class TreeLearner:
 
     def predict_one(self, x: Sequence[float]) -> float:
         """The leaf ``x`` reaches; ``x`` takes the forms ``_row`` describes."""
-        xv = _row(x, self.features)
+        return self._score_row(_row(x, self.features))
+
+    def _score_row(self, xs: Sequence[float]) -> float:
         node = self.root
         while isinstance(node, Split):
             # float() compares as predict_matrix's float64 column does.
-            left = float(xv[node.feature]) <= node.threshold
+            left = float(xs[node.feature]) <= node.threshold
             node = node.left if left else node.right
         return node.value
 
@@ -187,13 +194,17 @@ def _check_arity(x, features: tuple[str, ...], ndim: int = 1) -> np.ndarray:
 def _row(x, features: tuple[str, ...]) -> list:
     """One row of the features as a list, for ``predict_one``.
 
+    ``predict_one(x)`` is ``_score_row(_row(x, features))``. A learner's
+    ``_score_row(xs)`` is its one per-row kernel: it takes any indexable
+    sequence of the values in feature order and checks nothing.
+    ``EnsembleModel.predict_with_members`` calls it directly with the
+    values picked from its row mapping, which are floats when the row
+    comes from ``Dataset.row_values``.
+
     A plain ``list`` of the right length is taken as it is and must hold
-    floats: its elements are not checked, so the per-row path pays for
-    no check. ``predict_with_members`` builds such a list from its row
-    mapping, whose values are floats when the row comes from
-    ``Dataset.row_values``. Any other input (a tuple, an array, a list
-    of the wrong length) goes through ``_check_arity``, which converts
-    it or raises ArityMismatch.
+    floats: its elements are not checked. Any other input (a tuple, an
+    array, a list of the wrong length) goes through ``_check_arity``,
+    which converts it or raises ArityMismatch.
     """
     if type(x) is list and len(x) == len(features):
         return x
@@ -468,6 +479,24 @@ def _node_from_dict(d: dict, n_features: int, depth: int = 0) -> TreeNode:
     )
 
 
+def _tree_to_dict(root: TreeNode) -> dict:
+    """``dataclasses.asdict(root)``, the same nested dicts with the same
+    key order, written from an explicit stack without copying scalars."""
+    out: dict = {}
+    stack = [(root, out)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, Leaf):
+            d.update(value=node.value, n_rows=node.n_rows)
+        else:
+            left, right = {}, {}
+            d.update(
+                feature=node.feature, threshold=node.threshold, left=left, right=right
+            )
+            stack += [(node.left, left), (node.right, right)]
+    return out
+
+
 def learner_to_dict(learner: FittedLearner) -> dict:
     if isinstance(learner, MeanLearner):
         params = {"value": learner.value}
@@ -477,7 +506,7 @@ def learner_to_dict(learner: FittedLearner) -> dict:
             "weights": [float(w) for w in learner.weights],
         }
     elif isinstance(learner, TreeLearner):
-        params = {"root": asdict(learner.root)}
+        params = {"root": _tree_to_dict(learner.root)}
     else:
         raise TypeError(f"not a fitted learner: {learner!r}")
     return {"kind": learner.kind, "features": list(learner.features), "parameters": params}

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,6 +422,73 @@ class TestPersistence:
         }
         with pytest.raises(InputError, match="malformed model"):
             model_from_dict(doc)
+
+
+class TestPickleAndCopy:
+    """A model pickles and deep-copies with members of every arity.
+
+    A copy must score each row as the original does, bit for bit, with
+    the same fired names. A member reading one feature is the case where
+    ``operator.itemgetter`` would hand its row kernel a bare value.
+    """
+
+    @staticmethod
+    def table():
+        rng = np.random.default_rng(31)
+        a, b = rng.normal(size=60), rng.normal(size=60)
+        values = np.column_stack([a, b, a - 2 * b + rng.normal(size=60)])
+        values[:, :2][rng.random(size=(60, 2)) < 0.3] = np.nan
+        return Dataset(("A", "B", "Y"), values, "Y")
+
+    @staticmethod
+    def member(name, features, kind, table):
+        rows = table.rows_with(features + ("Y",))
+        X = table.values[np.ix_(rows, [table.index(s) for s in features])]
+        config = LearnerConfig(kind=kind, tree_min_leaf=3)
+        learner = fit(config, X, table.column("Y")[rows], features=features)
+        return EnsembleMember(name, features, learner)
+
+    def models(self, table):
+        zero = self.member("base", (), "mean", table)
+        one = self.member("a", ("A",), "ridge", table)
+        yield EnsembleModel(
+            "boosting", "Y", (zero, one, self.member("ab", ("A", "B"), "tree", table))
+        )
+        yield EnsembleModel(
+            "bagging", "Y", (one, self.member("b", ("B",), "tree", table))
+        )
+
+    def test_copies_score_as_the_original(self):
+        table = self.table()
+        for model in self.models(table):
+            assert len(model.members[0].features) < 2
+            copies = [pickle.loads(pickle.dumps(model)), copy.deepcopy(model)]
+            values, fired = model.predict_dataset(table)
+            names = [m.name for m in model.members]
+            unscored = 0
+            for i, cells in enumerate(table.values.tolist()):
+                row = dict(zip(("A", "B"), cells))
+                try:
+                    value, fired_names = model.predict_with_members(row)
+                except NoApplicableModel:
+                    assert not fired[i].any()
+                    for twin in copies:
+                        with pytest.raises(NoApplicableModel):
+                            twin.predict_with_members(row)
+                    unscored += 1
+                    continue
+                assert np.float64(value).tobytes() == values[i].tobytes()
+                assert [n for n, f in zip(names, fired[i]) if f] == fired_names
+                for twin in copies:
+                    twin_value, twin_names = twin.predict_with_members(row)
+                    assert np.float64(twin_value).tobytes() == values[i].tobytes()
+                    assert twin_names == fired_names
+            assert unscored < table.n_rows
+            for twin in copies:
+                assert model_to_dict(twin) == model_to_dict(model)
+                twin_values, twin_fired = twin.predict_dataset(table)
+                assert twin_values.tobytes() == values.tobytes()
+                assert np.array_equal(twin_fired, fired)
 
 
 class TestEqualInformationEquivalence:

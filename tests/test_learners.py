@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -366,6 +367,17 @@ class TestSerialization:
             assert as_json(back) == as_json(model)
             for xi in X[:5]:
                 assert back.predict_one(xi) == model.predict_one(xi)
+
+    def test_tree_is_written_as_asdict_writes_it(self):
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(400, 3))
+        y = X @ rng.normal(size=3) + rng.normal(size=400)
+        model = fit(LearnerConfig(kind="tree", tree_max_depth=8, tree_min_leaf=1), X, y)
+        root = learner_to_dict(model)["parameters"]["root"]
+        assert json.dumps(root) == json.dumps(dataclasses.asdict(model.root))
+        shared = chain_tree(5, shared=True)
+        written = learner_to_dict(TreeLearner(("a",), shared))["parameters"]["root"]
+        assert json.dumps(written) == json.dumps(dataclasses.asdict(shared))
 
     def test_schema_shape(self):
         model = fit(LearnerConfig(kind="ridge"), [[1.0], [2.0]], [1.0, 2.0], ["a"])

@@ -5,7 +5,10 @@ on the default plant (seed 5) at 2,000 and at 8,000 rows. A stage that
 works column by column makes the same number of calls at both sizes.
 Tree training varies only with the shape of the fitted trees. The three
 stages that still loop over rows, or over batches of rows, are pinned at
-their calls per row, so that number can only fall.
+their calls per row, so that number can only fall. So is the one-row
+scoring path, ``predict_with_members``, at its calls per scored row, and
+generate's one-at-a-time redraw, which the profiler cannot see, at the
+share of rows it redraws.
 """
 
 import gc
@@ -13,10 +16,12 @@ import sys
 
 import pytest
 
+from routeboost import synthgen
 from routeboost.analysis import infer_signal_groups, pattern_summary, route_frequencies
 from routeboost.benchmark import train_proposed
 from routeboost.data import load_dataset, write_csv
 from routeboost.ensemble import evaluate
+from routeboost.errors import NoApplicableModel
 from routeboost.learners import LearnerConfig, Split
 from routeboost.subsetting import StrategyOptions, SubsetSpec, build_subset_specs
 from routeboost.synthgen import GenSpec, default_layout, generate
@@ -32,10 +37,28 @@ CONSTANT = [
 # measured with Python 3.11 and NumPy 2.4 (300, 12005 and 12374 calls
 # over the 6,000 rows). generate makes 50 calls per batch of 1,024 rows
 # and none per row: the rows it redraws one at a time call only methods
-# of NumPy's Generator, which the profiler does not report. The CSV
-# stages make about two calls per line written or read, plus a few per
-# block.
+# of NumPy's Generator, which the profiler does not report, so
+# REDRAWN_FRACTION pins those rows instead. The CSV stages make about two
+# calls per line written or read, plus a few per block.
 PER_ROW = {"generate": 0.05, "write_csv": 2.001, "load_dataset": 2.063}
+
+# The share of rows generate redraws one at a time: those with a normal
+# draw off the fast path of NumPy's ziggurat. Measured on the default
+# plant: 10.60% (2,000 rows, seed 5), 10.51% and 10.64% (8,000 rows,
+# seeds 5 and 6), 10.38% (50,000 rows, seed 5). The pin leaves 1.4
+# points; redrawing every row reads 100%.
+REDRAWN_FRACTION = 0.12
+
+# Calls per scored row of predict_with_members over every row of the
+# table, as measured with Python 3.11 at 2,000 and 8,000 rows: 8.16 and
+# 8.12 for the ridge chain over auto subsets, 15.03 and 14.95 for the
+# branched trees over grouped subsets. A scored row costs the call, the
+# set of present signals (a call before Python 3.12, which inlines it)
+# and its items(), then per member that fires its row kernel, the kernel's
+# own builtins (ridge: reduce; tree: isinstance per level) and
+# names.append. The pins leave less than half a call per row: one more
+# call per row, or per member that fires, fails.
+SCORE_CALLS_PER_ROW = {"ridge_chain": 8.5, "grouped_trees": 15.5}
 
 # One scan_split per internal node and feature makes 6 calls: itself,
 # len, two cumsums, arange and argmin. With each node's own work, a fit
@@ -67,6 +90,18 @@ def calls(fn, *args):
     return n - 1, result  # less the c_call of sys.setprofile(None)
 
 
+def score_rows(model, rows) -> int:
+    """Score each row with ``predict_with_members``; the rows scored."""
+    scored = 0
+    for row in rows:
+        try:
+            model.predict_with_members(row)
+        except NoApplicableModel:
+            continue
+        scored += 1
+    return scored
+
+
 def n_nodes(node) -> int:
     if isinstance(node, Split):
         return 1 + n_nodes(node.left) + n_nodes(node.right)
@@ -96,6 +131,15 @@ def stage_calls(n_rows: int, path) -> dict:
     out["tree_nodes_x_features"] = sum(
         n_nodes(m.learner.root) * len(m.features) for m in trees.members
     )
+    rows = [dataset.row_values(i) for i in range(dataset.n_rows)]
+    for row in rows:
+        row.pop(dataset.target)
+    out["ridge_chain_score"], out["ridge_chain_scored"] = calls(score_rows, model, rows)
+    grouped, _ = build_subset_specs(dataset, StrategyOptions(strategy="grouped"))
+    grouped_trees = train_proposed(dataset, grouped, tree, "boosting")
+    out["grouped_trees_score"], out["grouped_trees_scored"] = calls(
+        score_rows, grouped_trees, rows
+    )
     return out
 
 
@@ -122,3 +166,27 @@ def test_tree_calls_follow_the_tree_shape(counts):
     for sized in counts:
         bound = TREE_CALLS_PER_NODE_FEATURE * sized["tree_nodes_x_features"]
         assert sized["tree_train"] <= bound
+
+
+@pytest.mark.parametrize("model", sorted(SCORE_CALLS_PER_ROW))
+def test_one_row_scoring_calls_are_pinned(counts, model):
+    for sized in counts:
+        per_row = sized[f"{model}_score"] / sized[f"{model}_scored"]
+        assert per_row <= SCORE_CALLS_PER_ROW[model]
+
+
+@pytest.mark.parametrize("n_rows,seed", [(SMALL, 5), (LARGE, 5), (LARGE, 6), (50_000, 5)])
+def test_generate_redraws_few_rows(monkeypatch, n_rows, seed):
+    """``synthgen._draw_fast_rows`` returns the rows generate redraws."""
+    draw_fast_rows = synthgen._draw_fast_rows
+    redrawn = []
+
+    def recorded(*args):
+        rows = draw_fast_rows(*args)
+        redrawn.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(synthgen, "_draw_fast_rows", recorded)
+    generate(GenSpec(default_layout(), n_rows, seed))
+    assert len(redrawn) == 1
+    assert redrawn[0] / n_rows <= REDRAWN_FRACTION
