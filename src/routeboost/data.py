@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .errors import (
     DuplicateSignal,
     InputError,
     MalformedCsv,
+    NonFinite,
     RowOutOfRange,
     UnknownSignal,
     UnknownTarget,
@@ -223,6 +224,74 @@ def _parse_cell(field: str, line_no: int, col: str) -> float:
 CSV_BLOCK_ROWS = 4096
 
 
+def _to_floats(fields: list[str], present: np.ndarray) -> np.ndarray | None:
+    """The fields as a flat float array, NaN where ``present`` is False;
+    ``None`` when a present field is not a finite number of the grammar."""
+    try:
+        if not _plain("".join(fields)):
+            raise ValueError
+        parsed = np.fromiter(
+            map(float, filter(None, fields)), np.float64, int(present.sum())
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(parsed).all():
+        return None
+    values = np.full(present.size, np.nan)
+    values[present] = parsed
+    return values
+
+
+def _field_presence(text: str, n_lines: int, width: int) -> np.ndarray | None:
+    """Whether each field of ``n_lines`` newline-ended lines of ASCII text
+    is non-empty; ``None`` unless every line has ``width`` fields within
+    ``csv.field_size_limit()``. Non-ASCII text raises UnicodeEncodeError.
+
+    Its arrays are several times the block's values, so they are freed
+    before the fields are split.
+    """
+    codes = np.frombuffer(text.encode("ascii"), np.uint8)
+    # The comma or newline that ends each field. Each line ends in one
+    # newline, so when every width-th of them is a newline and there are
+    # n_lines * width, every line has exactly width fields.
+    ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    if ends.size != n_lines * width or (codes[ends[width - 1::width]] != ord("\n")).any():
+        return None
+    gaps = np.diff(ends, prepend=-1)  # a field's length plus one
+    if gaps.max() > csv.field_size_limit() + 1:
+        return None
+    return gaps > 1
+
+
+def _split_block(text: str, n_lines: int, width: int) -> np.ndarray | None:
+    """``n_lines`` whole lines of text as a (n_lines, width) float array.
+
+    This splits the text the way csv.reader would, so it answers only
+    for text with no quote, no CR outside a CRLF and no non-ASCII
+    character, where every line has ``width`` fields within
+    ``csv.field_size_limit()``. Anything else, and any field that is not
+    a finite number, gives ``None``.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if not text.endswith("\n"):  # the last line of the file
+        text += "\n"
+    try:
+        present = _field_presence(text, n_lines, width)
+    except UnicodeEncodeError:
+        return None
+    if present is None:
+        return None
+    if width == 1 and not present.all():
+        return None  # csv.reader reads a blank line as a record of no fields
+    values = _to_floats(text.replace("\n", ",").split(","), present)
+    return None if values is None else values.reshape(n_lines, width)
+
+
 def _parse_block(
     block: list[list[str]], header: list[str], first_line: int, path: str | Path
 ) -> np.ndarray:
@@ -230,18 +299,8 @@ def _parse_block(
     width = len(header)
     if all(len(record) == width for record in block):
         fields = list(chain.from_iterable(block))
-        present = np.fromiter(map(bool, fields), bool, len(fields))
-        try:
-            if not _plain("".join(fields)):
-                raise ValueError
-            parsed = np.fromiter(
-                map(float, filter(None, fields)), np.float64, int(present.sum())
-            )
-        except ValueError:
-            parsed = None
-        if parsed is not None and np.isfinite(parsed).all():
-            values = np.full(len(fields), np.nan)
-            values[present] = parsed
+        values = _to_floats(fields, np.fromiter(map(bool, fields), bool, len(fields)))
+        if values is not None:
             return values.reshape(len(block), width)
     # Some record is malformed: walk the block line by line, so the error
     # names the first bad line and column in file order.
@@ -255,19 +314,42 @@ def _parse_block(
     return np.array(rows, dtype=np.float64).reshape(len(block), width)
 
 
+def _parse_records(
+    reader: Iterator[list[str]], header: list[str], line_no: int, path: str | Path
+) -> Iterator[np.ndarray]:
+    """The float blocks of the records ``reader`` has left, the first of
+    them on line ``line_no``."""
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(reader, CSV_BLOCK_ROWS))
+        except csv.Error as exc:
+            # extend keeps the records read before the error; a bad one
+            # among them comes first in file order.
+            _parse_block(block, header, line_no, path)
+            raise MalformedCsv(f"{path}: line {line_no + len(block)}: {exc}") from None
+        if not block:
+            return
+        yield _parse_block(block, header, line_no, path)
+        line_no += len(block)
+
+
 def load_table(path: str | Path) -> Dataset:
     """Read a CSV file into a target-less dataset.
 
-    Records are parsed in blocks of ``CSV_BLOCK_ROWS``; an error names the
+    The lines after the header are read in blocks of ``CSV_BLOCK_ROWS``.
+    A block that ``_split_block`` cannot split, and the rest of the file
+    after it, go through csv.reader record by record. An error names the
     first bad line and column in file order.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise MalformedCsv(f"{path}: empty file") from None
+            except csv.Error as exc:
+                raise MalformedCsv(f"{path}: line 1: {exc}") from None
             if len(set(header)) != len(header):
                 dupes = sorted({s for s in header if header.count(s) > 1})
                 raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
@@ -275,9 +357,14 @@ def load_table(path: str | Path) -> Dataset:
                 _check_signal_name(name)
             blocks = [np.empty((0, len(header)))]
             line_no = 2
-            while block := list(islice(reader, CSV_BLOCK_ROWS)):
-                blocks.append(_parse_block(block, header, line_no, path))
-                line_no += len(block)
+            while lines := list(islice(fh, CSV_BLOCK_ROWS)):
+                values = _split_block("".join(lines), len(lines), len(header))
+                if values is None:
+                    reader = csv.reader(chain(lines, fh))
+                    blocks.extend(_parse_records(reader, header, line_no, path))
+                    break
+                blocks.append(values)
+                line_no += len(lines)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc})") from None
     values = np.concatenate(blocks)
@@ -297,18 +384,39 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV; missing cells become empty fields.
 
     Values are formatted with ``repr`` so a reload reproduces them
-    bit-for-bit. Lines are formatted in blocks of ``CSV_BLOCK_ROWS``.
+    bit-for-bit. An infinity, which the reader refuses, raises NonFinite
+    naming its row and column before the file is opened. Lines are
+    formatted in blocks of ``CSV_BLOCK_ROWS``: each row gets the line
+    template of its availability pattern, and the block is one ``%``
+    of the joined templates with its present values.
     """
-    # ``repr`` spells only NaN "nan". csv.writer quotes a row made of one
-    # empty field, so a missing cell of a one-column table is written '""'.
-    missing = '""' if len(dataset.signals) == 1 else ""
+    values, width = dataset.values, len(dataset.signals)
+    if np.isinf(values).any():
+        row, col = np.argwhere(np.isinf(values))[0].tolist()
+        raise NonFinite(
+            f"row {row}, column {dataset.signals[col]!r}: the value "
+            f"{values[row, col]} is not finite; a CSV cell holds a finite number"
+        )
+    # csv.writer quotes a row made of one empty field, so a missing cell
+    # of a one-column table is written '""'.
+    missing = '""' if width == 1 else ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(dataset.signals)
+        csv.writer(fh, lineterminator="\n").writerow(dataset.signals)
+        if not width:
+            fh.write("\n" * dataset.n_rows)
+            return
         for start in range(0, dataset.n_rows, CSV_BLOCK_ROWS):
-            rows = dataset.values[start:start + CSV_BLOCK_ROWS].tolist()
-            text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-            fh.write(text.replace("nan", missing))
+            block = values[start:start + CSV_BLOCK_ROWS]
+            present = block == block  # NaN != NaN
+            packed = np.packbits(present, axis=1)  # a new C-ordered array
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+            _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
+            templates = [
+                ",".join(["%r" if p else missing for p in row]) + "\n"
+                for row in present[first].tolist()
+            ]
+            line_templates = "".join(map(templates.__getitem__, pattern.tolist()))
+            fh.write(line_templates % tuple(block[present].tolist()))
 
 
 # How far apart the present sources of a row may be when they are coalesced.

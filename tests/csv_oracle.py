@@ -3,7 +3,8 @@
 ``routeboost.data`` converts records and formats lines in blocks. It
 must write exactly the bytes ``write_csv`` here writes, read exactly the
 values ``load_table`` here reads, and raise the same exception type with
-the same message on the same malformed file.
+the same message on the same malformed file. A ``csv.Error`` of the
+header or of a record is a MalformedCsv naming that line.
 """
 
 from __future__ import annotations
@@ -26,19 +27,29 @@ def load_table(path: str | Path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise MalformedCsv(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path}: line 1: {exc}") from None
         if len(set(header)) != len(header):
             dupes = sorted({s for s in header if header.count(s) > 1})
             raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
         for name in header:
             _check_signal_name(name)
         rows = []
-        for line_no, record in enumerate(reader, start=2):
+        line_no = 2  # of the record read next
+        while True:
+            try:
+                record = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise MalformedCsv(f"{path}: line {line_no}: {exc}") from None
             if len(record) != len(header):
                 raise MalformedCsv(
                     f"{path}: line {line_no} has {len(record)} fields, "
                     f"expected {len(header)}"
                 )
             rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
+            line_no += 1
     values = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
     return Dataset(tuple(header), values)
 

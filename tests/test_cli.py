@@ -709,6 +709,29 @@ class TestNonUtf8Input:
         assert message in err and "can't decode byte 0xff" in err
 
 
+class TestCsvFieldLimit:
+    """A field longer than csv.field_size_limit() exits 2 with one line."""
+
+    def test_data_field_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        long = "0" * (csv.field_size_limit() + 1)  # a finite number, were it shorter
+        data.write_text(f"A,Y\n1,2\n{long},3\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        argv = ["train", "--data", str(data), "--target", "Y", "--model-out", str(model)]
+        err = one_line_error(main(argv), capsys)
+        assert err == (
+            f"error: {data}: line 3: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
+        assert not model.exists()
+
+    def test_header_name_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text("Y," + "A" * (csv.field_size_limit() + 1) + "\n1,2\n", encoding="utf-8")
+        err = one_line_error(main(["analyze", "--data", str(data), "--target", "Y"]), capsys)
+        assert err.startswith(f"error: {data}: line 1: field larger than field limit")
+
+
 def deep_tree_model(depth: int) -> str:
     """A model whose one tree member is nested ``depth`` splits deep."""
     split = '{"feature": 0, "threshold": 0.5, "right": {"value": 1.0, "n_rows": 1}, "left": '

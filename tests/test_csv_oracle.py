@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from routeboost import data
 from routeboost.data import Dataset
+from routeboost.errors import MalformedCsv
 from tests import csv_oracle
 
 BLOCK = 3
@@ -95,3 +96,41 @@ def test_read_matches_reference(tmp_path_factory, header, bom, newline, data_):
         mp.setattr(data, "CSV_BLOCK_ROWS", BLOCK)
         got = outcome(data.load_table, path)
     assert got == outcome(csv_oracle.load_table, path)
+
+
+# One character past csv's default field_size_limit, and a finite number,
+# so only the limit refuses it.
+OVER_LIMIT = "0" * 131_073
+
+# Files whose blocks of 3 lines leave the quote-free path at different
+# points, and the outcome each must have (None: it reads).
+CASES = {
+    "quote in the third block": ("A,B\n" + "1,2\n" * 6 + '"3",4\n5,\n,6\n', None),
+    "quote in the third block, bad cell after it": (
+        "A,B\n" + "1,2\n" * 6 + '"3",4\n5,x\n', "line 9, column 'B'"
+    ),
+    "crlf": ("A,B\r\n1,2\r\n,3\r\n4,\r\n5,6\r\n", None),
+    "lone cr": ("A,B\n1,2\n3,4\r5,6\n", None),
+    "one column with a blank line": ("A\n1\n2\n\n3\n", "line 4 has 0 fields"),
+    "one column with a missing cell": ('A\n1\n""\n3\n', None),
+    "width + 1 then width - 1 fields": ("A,B\n1,2\n1,2,3\n4\n", "line 3 has 3 fields"),
+    "over-limit field": (f"A,B\n1,2\n3,{OVER_LIMIT}\n", "line 3: field larger than"),
+    "over-limit quoted field": (f'A,B\n1,2\n"3","{OVER_LIMIT}"\n', "line 3: field larger than"),
+    "bad cell before an over-limit field": (
+        f"A,B\n1,x\n3,{OVER_LIMIT}\n", "line 2, column 'B'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_quote_free_blocks_and_fallback_match_reference(monkeypatch, tmp_path, case):
+    text, error = CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", BLOCK)
+    got = outcome(data.load_table, path)
+    assert got == outcome(csv_oracle.load_table, path)
+    if error is None:
+        assert isinstance(got[0], tuple)
+    else:
+        assert got[0] is MalformedCsv and error in got[1]

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -16,10 +17,13 @@ from routeboost.errors import (
     CoalesceConflict,
     DuplicateSignal,
     MalformedCsv,
+    NonFinite,
     RowOutOfRange,
     UnknownSignal,
     UnknownTarget,
 )
+from routeboost.synthgen import GenSpec, default_layout, generate
+from tests import csv_oracle
 from tests.conftest import peak_over_values, random_masked_dataset
 
 
@@ -66,6 +70,21 @@ class TestLoad:
         with pytest.raises(MalformedCsv, match="line 3, column 'A': unparsable number"):
             load_dataset(write(tmp_path, f"A,Y\n1,2\n{cell},3\n"), "Y")
 
+    @pytest.mark.parametrize("where", ["cell", "header"])
+    def test_field_over_csv_limit_names_its_line(self, tmp_path, where):
+        # "0" repeated is a finite number, so only csv's field limit refuses it.
+        long = "0" * (csv.field_size_limit() + 1)
+        text = f"A,{long}\n1,2\n" if where == "header" else f"A,Y\n1,2\n3,{long}\n"
+        line = 1 if where == "header" else 3
+        with pytest.raises(MalformedCsv, match=f"line {line}: field larger than field limit"):
+            load_table(write(tmp_path, text))
+
+    def test_nul_byte_names_its_line(self, tmp_path):
+        # csv.reader refuses a NUL before Python 3.11; from 3.11 on the
+        # field is read and is no number. Either way it is MalformedCsv.
+        with pytest.raises(MalformedCsv, match="line 3"):
+            load_table(write(tmp_path, "A,Y\n1,2\n3,\x004\n"))
+
     def test_crlf_and_header_only(self, tmp_path):
         ds = load_dataset(write(tmp_path, "A,Y\r\n1,2\r\n"), "Y")
         assert ds.n_rows == 1
@@ -90,6 +109,58 @@ class TestRoundTrip:
         write_csv(ds, path)
         back = load_dataset(path, "Y")
         assert np.array_equal(back.values, ds.values, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinity_is_refused_before_the_file_is_opened(self, tmp_path, bad):
+        path = tmp_path / "inf.csv"
+        ds = Dataset(("A", "Y"), [[1.0, 2.0], [np.nan, 3.0], [4.0, bad]])
+        with pytest.raises(NonFinite, match=f"row 2, column 'Y': the value {bad} is not finite"):
+            write_csv(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (5, 1), (0, 1)])
+    def test_empty_and_one_column_tables(self, tmp_path, shape):
+        values = np.full(shape, np.nan)
+        values[::2] = 2.5
+        ds = Dataset(tuple(f"s{j}" for j in range(shape[1])), values)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_csv(ds, new)
+        csv_oracle.write_csv(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+
+
+class TestCsvMemory:
+    """Peak traced allocation of the CSV stages at 40k rows of the default
+    plant, as a multiple of the table's value bytes (4.8 MB).
+
+    Measured with Python 3.11 and NumPy 2.4, seeds 5 and 6: write_csv
+    0.414 and 0.413, load_dataset 2.006 and 2.001. The reader holds its
+    float blocks and their concatenation at once (2.0); one block of
+    text and its fields stay below that. tracemalloc sees only what goes
+    through Python's and NumPy's allocators.
+    """
+
+    WRITE_PEAK = 0.5
+    LOAD_PEAK = 2.2
+
+    @pytest.fixture(scope="class")
+    def plant(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("memory") / "plant.csv"
+        return generate(GenSpec(default_layout(), 40_000, 5)), path
+
+    def test_write_csv_peak(self, plant):
+        dataset, path = plant
+
+        def written():
+            write_csv(dataset, path)
+            return dataset
+
+        assert peak_over_values(written) <= self.WRITE_PEAK
+
+    def test_load_dataset_peak(self, plant):
+        dataset, path = plant
+        write_csv(dataset, path)
+        assert peak_over_values(lambda: load_dataset(path, "Y")) <= self.LOAD_PEAK
 
 
 class TestProject:
