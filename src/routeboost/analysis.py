@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import AvailabilityPattern, Dataset, SignalId
+from .data import AvailabilityPattern, Dataset, SignalId, unique_rows
 from .errors import OverlappingGroups, UnknownSignal
 
 
@@ -47,32 +47,15 @@ def check_groups(dataset: Dataset, groups: Sequence[SignalGroup]) -> None:
             seen[s] = g.name
 
 
-def _unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a non-empty bool matrix and how often each occurs.
-
-    Each row is packed into bytes and compared as one opaque key, which
-    avoids the column-by-column row sort of ``np.unique(axis=0)``. The
-    order of the distinct rows is unspecified.
-    """
-    packed = np.packbits(mask, axis=1)
-    if packed.shape[1] == 0:  # no columns: every row is the same empty row
-        return mask[:1], np.array([mask.shape[0]])
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return mask[first], counts
-
-
 def _count_patterns(
     mask: np.ndarray, names: Sequence[str]
 ) -> list[tuple[frozenset[str], int]]:
     """Distinct rows of ``mask`` as sets of column ``names`` with their
     counts, most frequent first, ties in the order of the sorted names."""
-    if mask.shape[0] == 0:
-        return []
-    uniq, counts = _unique_rows(mask)
+    first, inverse = unique_rows(mask)
     patterns = [
-        (frozenset(n for n, ok in zip(names, row) if ok), int(count))
-        for row, count in zip(uniq, counts)
+        (frozenset(n for n, ok in zip(names, row) if ok), count)
+        for row, count in zip(mask[first].tolist(), np.bincount(inverse).tolist())
     ]
     patterns.sort(key=lambda p: (-p[1], tuple(sorted(p[0]))))
     return patterns

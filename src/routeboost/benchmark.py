@@ -21,12 +21,11 @@ from .ensemble import (
     StratifiedMetrics,
     evaluate,
     train_bagging,
-    train_boosting,
     train_boosting_branched,
     train_conventional,
     train_test_split_rows,
 )
-from .errors import EmptyTrainingSet, NotNested
+from .errors import EmptyTrainingSet
 from .learners import LearnerConfig
 from .subsetting import StrategyOptions, SubsetSpec, build_subset_specs, subset_rows
 
@@ -136,16 +135,13 @@ def format_comparison_table(arms: list[ArmReport], strata: list[str]) -> str:
 def train_proposed(
     dataset: Dataset, specs: list[SubsetSpec], config: LearnerConfig, mode: str
 ) -> EnsembleModel:
-    """Train the route-aware ensemble; boosting falls back to the branched
-    variant when the subsets do not form a single nested chain."""
+    """Train the route-aware ensemble; boosting needs the narrowest subset
+    inside every other one."""
     if mode not in ENSEMBLE_MODES:
         raise ValueError(f"unknown ensemble mode {mode!r}")
     if mode == "bagging":
         return train_bagging(dataset, specs, config)
-    try:
-        return train_boosting(dataset, specs, config)
-    except NotNested:
-        return train_boosting_branched(dataset, specs, config)
+    return train_boosting_branched(dataset, specs, config)
 
 
 def run_benchmark(

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze, subset, train, predict, evaluate, generate, and
-benchmark. Exit codes: 0 success, 1 domain error (e.g. a non-nested
-chain), 2 input/config error, 3 internal error (a fault in routeboost).
-All randomness flows from --seed
+benchmark. Exit codes: 0 success, 1 domain error (e.g. boosting subsets
+without a common base), 2 input/config error, 3 internal error (a fault
+in routeboost). All randomness flows from --seed
 (default 0); reruns with the same inputs produce byte-identical JSON.
 """
 

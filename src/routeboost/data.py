@@ -380,6 +380,22 @@ def load_dataset(path: str | Path, target: SignalId) -> Dataset:
     return Dataset(table.signals, table.values, target)
 
 
+def unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` of the distinct rows of a bool matrix:
+    ``mask[first]`` holds each once, in an unspecified order, and
+    ``mask[first][inverse]`` equals ``mask``.
+
+    Each row is packed into bytes and compared as one opaque key, which
+    avoids the column-by-column row sort of ``np.unique(axis=0)``.
+    """
+    packed = np.packbits(mask, axis=1)  # a new C-ordered array
+    if not packed.shape[1]:  # no columns: every row is the same empty row
+        return np.arange(min(len(mask), 1)), np.zeros(len(mask), dtype=np.intp)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to CSV; missing cells become empty fields.
 
@@ -408,9 +424,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
         for start in range(0, dataset.n_rows, CSV_BLOCK_ROWS):
             block = values[start:start + CSV_BLOCK_ROWS]
             present = block == block  # NaN != NaN
-            packed = np.packbits(present, axis=1)  # a new C-ordered array
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-            _, first, pattern = np.unique(keys, return_index=True, return_inverse=True)
+            first, pattern = unique_rows(present)
             templates = [
                 ",".join(["%r" if p else missing for p in row]) + "\n"
                 for row in present[first].tolist()

@@ -1,12 +1,13 @@
 """Ensemble training, route-aware prediction, and stratified evaluation.
 
-Boosting fits a chain of residual models over strictly nested subsets:
-member 0 (the base model) predicts the target from the always-available
-or narrowest feature set, and every later member predicts what the
-prefix before it still gets wrong. Bagging fits independent members and
-averages them. At prediction time only members whose entire feature set
-is present are applied, so an item is scored with exactly the knowledge
-its route produced.
+Boosting fits residual models over subsets that all contain the
+narrowest one: member 0 (the base model) predicts the target from that
+feature set, and every later member predicts what the earlier members
+whose features it has, exactly those that fire at its rows, still get
+wrong. Bagging fits independent members and averages them. At
+prediction time only members whose entire feature set is present are
+applied, so an item is scored with exactly the knowledge its route
+produced.
 
 The conventional baseline (complete-case deletion: drop every row with
 any missing value, fit one model on all signals) is wrapped as a
@@ -79,8 +80,8 @@ class EnsembleModel:
     """Ordered members plus the combination mode.
 
     For boosting, member 0 is the base model and must use a subset of
-    every other member's features (strict nesting for plain chains; the
-    branched variant keeps one base plus incomparable branch residuals).
+    every other member's features (each later member was fit against the
+    earlier ones whose features it has).
     Member names are distinct and no member reads the target.
     """
 
@@ -221,6 +222,20 @@ def _fit_members(
     return tuple(members)
 
 
+def _train_stagewise(
+    dataset: Dataset, ordered: Sequence[SubsetSpec], config: LearnerConfig
+) -> EnsembleModel:
+    """Member k is fit against every earlier member whose features it has,
+    exactly those that fire at its rows. Member 0 is named "base"."""
+    parents = [
+        [j for j in range(k) if ordered[j].feature_set <= spec.feature_set]
+        for k, spec in enumerate(ordered)
+    ]
+    names = ["base"] + [spec.name for spec in ordered[1:]]
+    members = _fit_members(dataset, ordered, parents, names, config)
+    return EnsembleModel("boosting", dataset.target, members)
+
+
 def train_boosting(
     dataset: Dataset, specs: Sequence[SubsetSpec], config: LearnerConfig
 ) -> EnsembleModel:
@@ -231,42 +246,30 @@ def train_boosting(
     0..k-1 (all evaluable there because of the nesting). Member 0 keeps
     the role name "base"; residual members keep their subset names.
     """
-    chain = validate_nested_chain(specs)
-    parents = [tuple(range(k)) for k in range(len(chain))]
-    names = ["base"] + [spec.name for spec in chain[1:]]
-    members = _fit_members(dataset, chain, parents, names, config)
-    return EnsembleModel("boosting", dataset.target, members)
+    return _train_stagewise(dataset, validate_nested_chain(specs), config)
 
 
 def train_boosting_branched(
     dataset: Dataset, specs: Sequence[SubsetSpec], config: LearnerConfig
 ) -> EnsembleModel:
-    """Base plus one single-step residual per branch.
+    """Boosting over subsets that all contain the narrowest one.
 
-    The unique narrowest spec is the base and must be a strict subset of
-    every other spec. Each branch is fit against the base prediction
-    alone. Branches may fire together: a row with the signals of several
-    branches gets the base plus the sum of all their corrections, though
-    none was fit with another's correction in place. That holds for
-    nested branches too: a branch whose features contain another
-    branch's is still fit against the base alone, so a row of a wide
-    route adds several corrections, each fit to the whole residual. The
-    README section on branches measures what that costs.
+    Specs are ordered by (size, name); the first is the base and must be
+    inside every other spec. A chain trains as in ``train_boosting``. Two
+    branches that do not contain each other both fire on a row with both
+    their signals, each fit without the other's correction.
     """
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
     ordered = sorted(specs, key=lambda s: (len(s.features), s.name))
     for spec in ordered[1:]:
-        if not ordered[0].feature_set < spec.feature_set:
+        if not ordered[0].feature_set <= spec.feature_set:
             raise NotNested(
                 f"boosting needs the narrowest subset {ordered[0].name!r} inside "
                 f"every other subset, but {spec.name!r} does not contain it "
                 "(bagging fits subsets that are not nested)"
             )
-    parents = [()] + [(0,)] * (len(ordered) - 1)
-    names = ["base"] + [spec.name for spec in ordered[1:]]
-    members = _fit_members(dataset, ordered, parents, names, config)
-    return EnsembleModel("boosting", dataset.target, members)
+    return _train_stagewise(dataset, ordered, config)
 
 
 def train_bagging(

@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from routeboost.analysis import (
     SignalGroup,
-    _unique_rows,
     always_available_signals,
     infer_signal_groups,
     pattern_summary,
     route_frequencies,
 )
-from routeboost.data import Dataset, dataset_from_columns
+from routeboost.data import Dataset, dataset_from_columns, unique_rows
 from routeboost.errors import OverlappingGroups, UnknownSignal
 from tests.conftest import random_masked_dataset
 
@@ -165,7 +164,9 @@ def test_partition_properties_hold_for_random_masks(seed):
 def test_packed_unique_rows_match_row_sort(n_rows, n_cols, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((n_rows, n_cols)) < rng.uniform(0.0, 1.0)
-    rows, counts = _unique_rows(mask)
+    first, inverse = unique_rows(mask)
+    assert np.array_equal(mask[first][inverse], mask)
+    rows, counts = mask[first], np.bincount(inverse)
     want_rows, want_counts = np.unique(mask, axis=0, return_counts=True)
     assert dict(zip(map(bytes, rows), counts.tolist())) == dict(
         zip(map(bytes, want_rows), want_counts.tolist())

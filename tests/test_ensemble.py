@@ -62,6 +62,18 @@ def constant_member(name, features, value):
     return EnsembleMember(name, features, MeanLearner(features, value))
 
 
+def nested_routes():
+    """``y = 1 + 2a + 3b - c`` with ``a`` on every row, ``b`` on the
+    routes {a,b} and {a,b,c}, and ``c`` on {a,c} and {a,b,c}."""
+    rng = np.random.default_rng(3)
+    a, b, c = rng.normal(size=(3, 400))
+    y = 1 + 2 * a + 3 * b - c
+    route = rng.integers(0, 4, size=400)
+    b[route % 2 == 0] = np.nan
+    c[route < 2] = np.nan
+    return Dataset(("a", "b", "c", "Y"), np.column_stack([a, b, c, y]), "Y")
+
+
 class TestTrainBoosting:
     def test_single_spec_equals_plain_fit(self, toy6):
         model = train_boosting(toy6, [SubsetSpec("base", ("A",))], RIDGE)
@@ -117,6 +129,39 @@ class TestBranchedBoosting:
         specs = [SubsetSpec("base", ("A",)), SubsetSpec("odd", ("C",))]
         with pytest.raises(NotNested):
             train_boosting_branched(toy6, specs, RIDGE)
+
+    @pytest.mark.parametrize("kind", ["ridge", "tree"])
+    def test_chain_trains_as_train_boosting(self, kind):
+        config = LearnerConfig(kind=kind)
+        ds, specs, chain = steel_chain(config=config)
+        assert len(chain.members) == 3
+        for model in (
+            train_boosting_branched(ds, specs, config),
+            train_proposed(ds, specs, config, "boosting"),
+        ):
+            assert model_to_dict(model) == model_to_dict(chain)
+
+    def test_nested_branches_fit_the_wide_route_exactly(self):
+        # y = 1 + 2a + 3b - c on the routes {a}, {a,b}, {a,c} and {a,b,c}:
+        # the {a,b,c} member sees the residual of the three members below
+        # it, so the near-unpenalized ridge sum is exact there.
+        ds = nested_routes()
+        specs = [SubsetSpec(f, tuple(f)) for f in ("a", "ab", "ac", "abc")]
+        model = train_proposed(ds, specs, RIDGE, "boosting")
+        values, _ = model.predict_dataset(ds)
+        wide = ds.rows_with(("a", "b", "c"))
+        assert wide.sum() > 50
+        err = np.abs(values - ds.column("Y"))[wide]
+        assert err.max() < 1e-8
+
+    def test_equal_feature_sets_train_in_any_order(self):
+        ds = nested_routes()
+        base = SubsetSpec("base", ("a",))
+        x, y = SubsetSpec("x", ("a", "b")), SubsetSpec("y", ("b", "a"))
+        model = train_proposed(ds, [base, x, y], RIDGE, "boosting")
+        assert [m.name for m in model.members] == ["base", "x", "y"]
+        again = train_proposed(ds, [y, base, x], RIDGE, "boosting")
+        assert model_to_dict(again) == model_to_dict(model)
 
 
 class TestTrainBagging:

@@ -110,6 +110,8 @@ def test_dense_models_match_oracle(name, learner):
     ds = Dataset(("a", "b", "c", "Y"), values, "Y")
     specs = [SubsetSpec("ab", ("a", "b")), SubsetSpec("abc", ("a", "b", "c"))]
     assert_same(name, ds, specs, learner)
+    nested = [SubsetSpec(f, tuple(f)) for f in ("a", "ab", "ac", "abc")]
+    assert_same(name, ds, nested, learner)
 
 
 @pytest.mark.parametrize(

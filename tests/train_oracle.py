@@ -89,20 +89,19 @@ def train_boosting(
 def train_boosting_branched(
     dataset: Dataset, specs: Sequence[SubsetSpec], config: LearnerConfig
 ) -> EnsembleModel:
-    """Base plus one single-step residual per branch.
+    """Base plus one residual member per branch.
 
-    Covers layouts with mutually exclusive branches (grouped-signal
-    subsets): the unique narrowest spec must be a strict subset of every
-    other spec; each branch residual is fit against the base alone. Rows
-    of different branches are mutually exclusive in route-driven data,
-    so at most one branch correction applies per row.
+    The narrowest spec (by size, then name) is the base and must lie
+    inside every other spec. Each branch is fit against the summed
+    predictions of every earlier member whose features are all among
+    its own: exactly the earlier members that fire at each of its rows.
     """
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
     ordered = sorted(specs, key=lambda s: (len(s.features), s.name))
     base_spec, branch_specs = ordered[0], ordered[1:]
     for spec in branch_specs:
-        if not base_spec.feature_set < spec.feature_set:
+        if not base_spec.feature_set <= spec.feature_set:
             raise NotNested(
                 f"branch {spec.name!r} does not contain the base features"
             )
@@ -116,7 +115,8 @@ def train_boosting_branched(
     members = [EnsembleMember("base", base_spec.features, base_learner)]
     for spec in branch_specs:
         sub = materialize(dataset, spec)
-        y = sub.column(sub.target) - _prefix_predictions(members[:1], sub)
+        inside = [m for m in members if m.feature_set <= spec.feature_set]
+        y = sub.column(sub.target) - _prefix_predictions(inside, sub)
         learner = fit(
             config, _training_matrix(sub, spec.features), y, features=spec.features
         )
