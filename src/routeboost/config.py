@@ -135,24 +135,26 @@ _JSON_TYPES = {
 }
 
 
-def _check_type(path, key: str, value: Any, owner: type = RunConfig) -> None:
-    """Raise ConfigError unless ``value`` fits the annotation of ``owner.key``."""
-    kind = owner.__dataclass_fields__[key].type
-    if value is None and kind.endswith(" | None"):
-        return
-    if not _JSON_TYPES[kind.removesuffix(" | None")](value):
-        raise ConfigError(f"{path}: {key!r} must be {kind}, got {value!r}")
-    if kind.startswith("dict[str, list[str]]"):
-        what = "group" if key == "segments" else "signal"
-        for name, members in value.items():
-            if not is_name_list(members):
-                raise ConfigError(
-                    f"{path}: {key} {name!r} is not a list of {what} names"
-                )
-    if key == "learner":
-        for option, option_value in value.items():
-            if option in LearnerConfig.__dataclass_fields__:
-                _check_type(path, option, option_value, LearnerConfig)
+def _check_type(path, key: str, value: Any) -> None:
+    """Raise ConfigError unless ``value`` fits the annotation of
+    ``RunConfig.key``, and each known ``learner`` option its field's."""
+    fields = [(RunConfig, key, value)]
+    if key == "learner" and isinstance(value, dict):
+        known = LearnerConfig.__dataclass_fields__
+        fields += [(LearnerConfig, k, v) for k, v in value.items() if k in known]
+    for owner, key, value in fields:
+        kind = owner.__dataclass_fields__[key].type
+        if value is None and kind.endswith(" | None"):
+            continue
+        if not _JSON_TYPES[kind.removesuffix(" | None")](value):
+            raise ConfigError(f"{path}: {key!r} must be {kind}, got {value!r}")
+        if kind.startswith("dict[str, list[str]]"):
+            what = "group" if key == "segments" else "signal"
+            for name, members in value.items():
+                if not is_name_list(members):
+                    raise ConfigError(
+                        f"{path}: {key} {name!r} is not a list of {what} names"
+                    )
 
 
 def parse_coalesce(directive: str) -> tuple[str, list[str]]:

@@ -225,11 +225,9 @@ CSV_BLOCK_ROWS = 4096
 
 
 def _to_floats(fields: list[str], present: np.ndarray) -> np.ndarray | None:
-    """The fields as a flat float array, NaN where ``present`` is False;
-    ``None`` when a present field is not a finite number of the grammar."""
+    """The ``_plain`` fields as a flat float array, NaN where ``present``
+    is False; ``None`` when a present field is not a finite number."""
     try:
-        if not _plain("".join(fields)):
-            raise ValueError
         parsed = np.fromiter(
             map(float, filter(None, fields)), np.float64, int(present.sum())
         )
@@ -288,7 +286,9 @@ def _split_block(text: str, n_lines: int, width: int) -> np.ndarray | None:
         return None
     if width == 1 and not present.all():
         return None  # csv.reader reads a blank line as a record of no fields
-    values = _to_floats(text.replace("\n", ",").split(","), present)
+    # Commas are plain, and a CR was refused above.
+    text = text.replace("\n", ",")
+    values = _to_floats(text.split(","), present) if _plain(text) else None
     return None if values is None else values.reshape(n_lines, width)
 
 
@@ -299,7 +299,8 @@ def _parse_block(
     width = len(header)
     if all(len(record) == width for record in block):
         fields = list(chain.from_iterable(block))
-        values = _to_floats(fields, np.fromiter(map(bool, fields), bool, len(fields)))
+        present = np.fromiter(map(bool, fields), bool, len(fields))
+        values = _to_floats(fields, present) if _plain("".join(fields)) else None
         if values is not None:
             return values.reshape(len(block), width)
     # Some record is malformed: walk the block line by line, so the error

@@ -5,6 +5,12 @@ via the normal equations on centered data (intercept unpenalized), and
 a depth-limited regression tree with greedy variance-reduction splits.
 Fitting is deterministic: identical values, whatever their memory
 layout, produce bit-identical parameters.
+
+Each learner's ``_score_row(xs)`` is its one per-row kernel: it takes
+any indexable sequence of the values in feature order and checks
+nothing. ``predict_one(x)`` runs it on ``x`` as ``_check_arity``
+converts it; ``EnsembleModel.predict_with_members`` on the values it
+picks from a row, which are floats when ``Dataset.row_values`` gave it.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from .data import integer, number, signal_names
 from .errors import ArityMismatch, EmptyTrainingSet, NonFinite, SingularSystem
 
 LEARNER_KINDS = ("mean", "ridge", "tree")
-# The most splits on any path of a tree. ``Split`` refuses a taller
-# tree and the reader stops there, so the recursive walks that remain
-# (fitting, reading, writing, scoring a matrix) stay shallow.
+# The most splits on any path of a tree. No tree walk recurses; the cap
+# bounds what a model document can ask for, since ``Split`` refuses a
+# taller tree and the reader stops there.
 MAX_TREE_DEPTH = 64
 
 
@@ -90,8 +96,7 @@ class MeanLearner:
     kind = "mean"
 
     def predict_one(self, x: Sequence[float]) -> float:
-        """The fitted mean; ``x`` takes the forms ``_row`` describes."""
-        return self._score_row(_row(x, self.features))
+        return self._score_row(_check_arity(x, self.features).tolist())
 
     def _score_row(self, xs: Sequence[float]) -> float:
         return self.value
@@ -120,10 +125,9 @@ class RidgeLearner:
         ``predict_matrix`` adds the same terms in the same order, so a
         row scored alone and inside any batch gives the same bits; a BLAS
         dot product or ``X @ w`` would not, and neither would ``sum``,
-        which compensates its rounding from Python 3.12 on. ``x`` takes
-        the forms ``_row`` describes: a plain list must hold floats.
+        which compensates its rounding from Python 3.12 on.
         """
-        return self._score_row(_row(x, self.features))
+        return self._score_row(_check_arity(x, self.features).tolist())
 
     def _score_row(self, xs: Sequence[float]) -> float:
         terms = map(operator.mul, xs, self._weight_list)
@@ -144,8 +148,7 @@ class TreeLearner:
     kind = "tree"
 
     def predict_one(self, x: Sequence[float]) -> float:
-        """The leaf ``x`` reaches; ``x`` takes the forms ``_row`` describes."""
-        return self._score_row(_row(x, self.features))
+        return self._score_row(_check_arity(x, self.features).tolist())
 
     def _score_row(self, xs: Sequence[float]) -> float:
         node = self.root
@@ -159,16 +162,14 @@ class TreeLearner:
         """Rows partitioned down the tree with ``predict_one``'s test."""
         X = _check_arity(X, self.features, 2)
         out = np.empty(X.shape[0])
-
-        def descend(node: TreeNode, rows: np.ndarray) -> None:
+        stack = [(self.root, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
             if isinstance(node, Leaf):
                 out[rows] = node.value
-                return
+                continue
             left = X[rows, node.feature] <= node.threshold
-            descend(node.left, rows[left])
-            descend(node.right, rows[~left])
-
-        descend(self.root, np.arange(X.shape[0]))
+            stack += [(node.right, rows[~left]), (node.left, rows[left])]
         return out
 
     def depth(self) -> int:
@@ -189,26 +190,6 @@ def _check_arity(x, features: tuple[str, ...], ndim: int = 1) -> np.ndarray:
             f"expected {len(features)} feature values, got shape {xv.shape}"
         )
     return xv
-
-
-def _row(x, features: tuple[str, ...]) -> list:
-    """One row of the features as a list, for ``predict_one``.
-
-    ``predict_one(x)`` is ``_score_row(_row(x, features))``. A learner's
-    ``_score_row(xs)`` is its one per-row kernel: it takes any indexable
-    sequence of the values in feature order and checks nothing.
-    ``EnsembleModel.predict_with_members`` calls it directly with the
-    values picked from its row mapping, which are floats when the row
-    comes from ``Dataset.row_values``.
-
-    A plain ``list`` of the right length is taken as it is and must hold
-    floats: its elements are not checked. Any other input (a tuple, an
-    array, a list of the wrong length) goes through ``_check_arity``,
-    which converts it or raises ArityMismatch.
-    """
-    if type(x) is list and len(x) == len(features):
-        return x
-    return _check_arity(x, features).tolist()
 
 
 def _as_training_arrays(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -404,17 +385,22 @@ def _fit_tree(
     (value, row index) per feature; a child keeps its share of each,
     which is exactly the stable sort of its own values, so every node
     scans what a per-node stable argsort would give. The share is read
-    through one row mask per fit: just before a child's orders are
-    formed, its side of the split is stamped over the parent's rows, so
-    a node's work is proportional to its own rows. A child's orders are
-    formed only when it scans, and the right child's only after the left
-    subtree, which restamps its own rows, is built.
+    through one row mask per fit, stamped once per split over the node's
+    rows, so a node's work is proportional to its own rows. Pending
+    nodes wait on a stack, the right child under the left so that nodes
+    are fit in preorder, each with its own rows and, if it will scan,
+    its own orders. Their rows are disjoint, so at any depth their
+    orders hold at most one index per row and feature.
     """
     min_leaf = config.tree_min_leaf
     columns = [X[:, j] for j in range(X.shape[1])]
     side = np.empty(X.shape[0], dtype=bool)
-
-    def build(rows: np.ndarray, depth: int, sorted_orders) -> TreeNode:
+    preorder: list = []
+    # Only the root's orders are made when it is popped; a child that
+    # gets none becomes a leaf before it would read them.
+    stack = [(np.arange(X.shape[0]), 0, None)]
+    while stack:
+        rows, depth, orders = stack.pop()
         ysub = y[rows]
         n = rows.shape[0]
         # The bits of np.mean(ysub), which would warn through the warnings
@@ -423,8 +409,10 @@ def _fit_tree(
         mean = float(ysub.sum() / n)
         node_sse = float(np.sum((ysub - mean) ** 2))
         if depth >= config.tree_max_depth or n < 2 * min_leaf or node_sse <= 0.0:
-            return Leaf(mean, n)
-        orders = sorted_orders()
+            preorder.append(Leaf(mean, n))
+            continue
+        if orders is None:
+            orders = [_stable_order(column) for column in columns]
         best = None  # (score, feature, threshold)
         for j, (column, order) in enumerate(zip(columns, orders)):
             found = scan_split(column[order], y[order] - mean, min_leaf)
@@ -434,49 +422,59 @@ def _fit_tree(
             if best is None or score < best[0]:
                 best = (score, j, threshold)
         if best is None or best[0] >= node_sse:
-            return Leaf(mean, n)
+            preorder.append(Leaf(mean, n))
+            continue
         _, feature, threshold = best
+        preorder.append((feature, threshold))
         go_left = columns[feature][rows] <= threshold
+        side[rows] = go_left
+        scans = depth + 1 < config.tree_max_depth
+        for child, keep in ((rows[~go_left], False), (rows[go_left], True)):
+            cut = scans and child.shape[0] >= 2 * min_leaf
+            child_orders = [o[side[o] == keep] for o in orders] if cut else None
+            stack.append((child, depth + 1, child_orders))
+    return TreeLearner(names, _from_preorder(preorder))
 
-        def child_orders(mask: np.ndarray) -> list[np.ndarray]:
-            side[rows] = mask
-            return [o[side[o]] for o in orders]
 
-        left = build(rows[go_left], depth + 1, lambda: child_orders(go_left))
-        right = build(rows[~go_left], depth + 1, lambda: child_orders(~go_left))
-        return Split(feature, threshold, left, right)
-
-    root = build(
-        np.arange(X.shape[0]),
-        0,
-        lambda: [_stable_order(column) for column in columns],
-    )
-    return TreeLearner(names, root)
+def _from_preorder(preorder: list) -> TreeNode:
+    """The tree whose nodes in preorder are ``preorder``, each a ``Leaf`` or
+    a split's ``(feature, threshold)``, built from the end back."""
+    built: list[TreeNode] = []
+    for node in reversed(preorder):
+        if not isinstance(node, Leaf):
+            node = Split(*node, built.pop(), built.pop())
+        built.append(node)
+    return built.pop()
 
 
 # --- JSON serialization ------------------------------------------------------
 # Floats are emitted via repr (shortest round-trip form), so save/load is
 # lossless for 64-bit values.
 
-def _node_from_dict(d: dict, n_features: int, depth: int = 0) -> TreeNode:
-    """The node ``d`` at ``depth`` splits below the root; reading stops
-    at a split below ``MAX_TREE_DEPTH``."""
-    if "value" in d:
-        n_rows = integer(d["n_rows"], "n_rows")
-        if n_rows < 1:
-            raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-        return Leaf(number(d["value"], "leaf value"), n_rows)
-    if depth == MAX_TREE_DEPTH:
-        raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
-    feature = integer(d["feature"], "feature")
-    if feature not in range(n_features):
-        raise ValueError(f"tree splits on feature {feature} of {n_features}")
-    return Split(
-        feature,
-        number(d["threshold"], "threshold"),
-        _node_from_dict(d["left"], n_features, depth + 1),
-        _node_from_dict(d["right"], n_features, depth + 1),
-    )
+def _tree_from_dict(params: dict, n_features: int) -> TreeNode:
+    """The tree of ``params["root"]``, read in preorder from an explicit
+    stack; reading stops at a split below ``MAX_TREE_DEPTH``."""
+    preorder: list = []
+    # (parent document, key, splits above); a node is looked up when it
+    # is popped, so a document fails at its first bad node in preorder.
+    stack = [(params, "root", 0)]
+    while stack:
+        parent, key, depth = stack.pop()
+        d = parent[key]
+        if "value" in d:
+            n_rows = integer(d["n_rows"], "n_rows")
+            if n_rows < 1:
+                raise ValueError(f"n_rows must be at least 1, got {n_rows}")
+            preorder.append(Leaf(number(d["value"], "leaf value"), n_rows))
+            continue
+        if depth == MAX_TREE_DEPTH:
+            raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
+        feature = integer(d["feature"], "feature")
+        if feature not in range(n_features):
+            raise ValueError(f"tree splits on feature {feature} of {n_features}")
+        preorder.append((feature, number(d["threshold"], "threshold")))
+        stack += [(d, "right", depth + 1), (d, "left", depth + 1)]
+    return _from_preorder(preorder)
 
 
 def _tree_to_dict(root: TreeNode) -> dict:
@@ -530,7 +528,6 @@ def learner_from_dict(d: dict) -> FittedLearner:
             raise ValueError(f"{len(weights)} weights for {len(features)} features")
         return RidgeLearner(features, number(params["intercept"], "intercept"), weights)
     if kind == "tree":
-        root = _node_from_dict(params["root"], len(features))
-        return TreeLearner(features, root)
+        return TreeLearner(features, _tree_from_dict(params, len(features)))
     raise ValueError(f"unknown learner kind {kind!r}")
 

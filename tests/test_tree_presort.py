@@ -60,7 +60,14 @@ def test_deep_plant_sized_fit_matches_oracle():
     rng = np.random.default_rng(13)
     X = np.round(rng.normal(size=(3000, 6)), 1)
     y = X @ rng.normal(size=6) + rng.normal(size=3000)
-    config = LearnerConfig(kind="tree", tree_max_depth=12, tree_min_leaf=1)
-    fitted = fit(config, X, y)
-    assert fitted.depth() == 12
-    assert learner_to_dict(fitted) == learner_to_dict(tree_oracle.fit_tree(config, X, y))
+    plant_sized = LearnerConfig(kind="tree", tree_max_depth=12, tree_min_leaf=1)
+    # A lopsided target: one long spine of splits, 29 levels deep.
+    Xl = np.random.default_rng(0).normal(size=(2000, 8))
+    lopsided = LearnerConfig(kind="tree", tree_max_depth=64, tree_min_leaf=20)
+    for config, X, y, depth in [
+        (plant_sized, X, y, 12),
+        (lopsided, Xl, np.exp(8 * Xl[:, 0]), 29),
+    ]:
+        fitted = fit(config, X, y)
+        assert fitted.depth() == depth
+        assert learner_to_dict(fitted) == learner_to_dict(tree_oracle.fit_tree(config, X, y))
