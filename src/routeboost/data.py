@@ -292,47 +292,32 @@ def _split_block(text: str, n_lines: int, width: int) -> np.ndarray | None:
     return None if values is None else values.reshape(n_lines, width)
 
 
-def _parse_block(
-    block: list[list[str]], header: list[str], first_line: int, path: str | Path
-) -> np.ndarray:
-    """One block of records as a (len(block), len(header)) float array."""
-    width = len(header)
-    if all(len(record) == width for record in block):
-        fields = list(chain.from_iterable(block))
-        present = np.fromiter(map(bool, fields), bool, len(fields))
-        values = _to_floats(fields, present) if _plain("".join(fields)) else None
-        if values is not None:
-            return values.reshape(len(block), width)
-    # Some record is malformed: walk the block line by line, so the error
-    # names the first bad line and column in file order.
-    rows = []
-    for line_no, record in enumerate(block, start=first_line):
-        if len(record) != width:
-            raise MalformedCsv(
-                f"{path}: line {line_no} has {len(record)} fields, expected {width}"
-            )
-        rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
-    return np.array(rows, dtype=np.float64).reshape(len(block), width)
-
-
 def _parse_records(
     reader: Iterator[list[str]], header: list[str], line_no: int, path: str | Path
 ) -> Iterator[np.ndarray]:
     """The float blocks of the records ``reader`` has left, the first of
-    them on line ``line_no``."""
-    while True:
-        block: list[list[str]] = []
-        try:
-            block.extend(islice(reader, CSV_BLOCK_ROWS))
-        except csv.Error as exc:
-            # extend keeps the records read before the error; a bad one
-            # among them comes first in file order.
-            _parse_block(block, header, line_no, path)
-            raise MalformedCsv(f"{path}: line {line_no + len(block)}: {exc}") from None
-        if not block:
-            return
-        yield _parse_block(block, header, line_no, path)
-        line_no += len(block)
+    them on line ``line_no``.
+
+    Each record is converted with ``_parse_cell`` as it is read, so the
+    first bad record raises, and the rows are flushed every
+    ``CSV_BLOCK_ROWS`` records.
+    """
+    width = len(header)
+    rows: list[list[float]] = []
+    try:
+        for record in reader:
+            if len(record) != width:
+                raise MalformedCsv(
+                    f"{path}: line {line_no} has {len(record)} fields, expected {width}"
+                )
+            rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
+            line_no += 1
+            if len(rows) == CSV_BLOCK_ROWS:
+                yield np.array(rows)
+                rows = []
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: line {line_no}: {exc}") from None
+    yield np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def load_table(path: str | Path) -> Dataset:
@@ -340,8 +325,9 @@ def load_table(path: str | Path) -> Dataset:
 
     The lines after the header are read in blocks of ``CSV_BLOCK_ROWS``.
     A block that ``_split_block`` cannot split, and the rest of the file
-    after it, go through csv.reader record by record. An error names the
-    first bad line and column in file order.
+    after it, go through csv.reader and ``_parse_records`` one record at
+    a time, field by field. An error names the first bad line and column
+    in file order.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:

@@ -165,6 +165,8 @@ class TreeLearner:
         stack = [(self.root, np.arange(X.shape[0]))]
         while stack:
             node, rows = stack.pop()
+            if not rows.size:  # no row reaches it
+                continue
             if isinstance(node, Leaf):
                 out[rows] = node.value
                 continue
@@ -453,14 +455,19 @@ def _from_preorder(preorder: list) -> TreeNode:
 
 def _tree_from_dict(params: dict, n_features: int) -> TreeNode:
     """The tree of ``params["root"]``, read in preorder from an explicit
-    stack; reading stops at a split below ``MAX_TREE_DEPTH``."""
+    stack; reading stops at a split below ``MAX_TREE_DEPTH`` and at a
+    node document met a second time, which would be read once per path."""
     preorder: list = []
+    read: set[int] = set()  # ids of the node documents read so far
     # (parent document, key, splits above); a node is looked up when it
     # is popped, so a document fails at its first bad node in preorder.
     stack = [(params, "root", 0)]
     while stack:
         parent, key, depth = stack.pop()
         d = parent[key]
+        if id(d) in read:
+            raise ValueError("tree shares a node document between two paths")
+        read.add(id(d))
         if "value" in d:
             n_rows = integer(d["n_rows"], "n_rows")
             if n_rows < 1:

@@ -1,8 +1,13 @@
 import csv
+import importlib
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from routeboost import __version__
 from routeboost.cli import main
 from routeboost.data import write_csv
 from routeboost.synthgen import GenSpec, default_layout, generate
@@ -56,6 +61,35 @@ class TestAnalyze:
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "--data", "/nope/missing.csv", "--target", "Y"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestConsoleScript:
+    """The function ``[project.scripts]`` installs as the ``routeboost``
+    command, found by a text match since Python 3.10 has no tomllib."""
+
+    @pytest.fixture
+    def script(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        found = re.search(r'^\[project\.scripts\]\nrouteboost = "([\w.]+):(\w+)"$', text, re.M)
+        module, function = found.groups()
+        return getattr(importlib.import_module(module), function)
+
+    def exit_code(self, script, monkeypatch, *args) -> int:
+        monkeypatch.setattr(sys, "argv", ["routeboost", *args])
+        with pytest.raises(SystemExit) as exc:
+            script()
+        return exc.value.code
+
+    def test_version(self, script, monkeypatch, capsys):
+        assert self.exit_code(script, monkeypatch, "--version") == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+    def test_missing_data_exit_2(self, script, monkeypatch, capsys, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        code = self.exit_code(script, monkeypatch, "analyze", "--data", missing, "--target", "Y")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSubset:

@@ -119,6 +119,13 @@ CASES = {
     "bad cell before an over-limit field": (
         f"A,B\n1,x\n3,{OVER_LIMIT}\n", "line 2, column 'B'"
     ),
+    # Every record goes through csv.reader, and the last one fills a block.
+    "quote on the first line, two blocks of records": (
+        'A,B\n"1",2\n' + "3,\n" * (2 * BLOCK - 1), None
+    ),
+    "quote, bad cell, over-limit field a block later": (
+        f'A,B\n"1",2\n3,x\n5,6\n7,8\n9,{OVER_LIMIT}\n', "line 3, column 'B'"
+    ),
 }
 
 

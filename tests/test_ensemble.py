@@ -468,6 +468,21 @@ class TestPersistence:
         with pytest.raises(InputError, match="malformed model"):
             model_from_dict(doc)
 
+    def test_tree_with_a_shared_node_is_input_error(self):
+        # 2**18 paths through 18 node documents: a reader that walks each
+        # path returns a tree of 262,144 leaves instead of refusing it.
+        node = {"value": 0.0, "n_rows": 1}
+        for _ in range(18):
+            node = {"feature": 0, "threshold": 0.5, "left": node, "right": node}
+        learner = {"kind": "tree", "features": ["A"], "parameters": {"root": node}}
+        doc = {
+            "mode": "boosting",
+            "target": "Y",
+            "members": [{"name": "base", "features": ["A"], "learner": learner}],
+        }
+        with pytest.raises(InputError, match="shares a node"):
+            model_from_dict(doc)
+
 
 class TestPickleAndCopy:
     """A model pickles and deep-copies with members of every arity.

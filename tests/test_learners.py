@@ -567,3 +567,5 @@ class TestSplitHeight:
         tree = TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH, shared=True))
         assert tree.depth() == MAX_TREE_DEPTH
         assert tree.predict_one([1.0]) == 0.0
+        rows = np.array([[0.0], [0.5], [1.0], [-3.0]])
+        assert tree.predict_matrix(rows).tolist() == [tree.predict_one(r) for r in rows]
