@@ -192,7 +192,7 @@ def dataset_from_columns(
 
 # ``float`` also reads digit separators, surrounding whitespace and
 # non-ASCII digits; a number in the CSV grammar holds none of them.
-_NOT_IN_NUMBERS = ("_", " ", "\t", "\n", "\r", "\x0b", "\x0c")
+_NOT_IN_NUMBERS = frozenset("_ \t\n\r\x0b\x0c")
 
 
 def _plain(text: str) -> bool:
@@ -203,7 +203,8 @@ def _parse_cell(field: str, line_no: int, col: str) -> float:
     if field == "":
         return math.nan
     try:
-        if not _plain(field):
+        # _plain's scans suit a block of text; a field is short.
+        if not (field.isascii() and _NOT_IN_NUMBERS.isdisjoint(field)):
             raise ValueError
         value = float(field)
     except ValueError:

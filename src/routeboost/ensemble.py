@@ -162,29 +162,43 @@ class EnsembleModel:
         value, _ = self.predict_with_members(row)
         return value
 
-    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        """Every row of a table scored at once: ``(values, fired)``.
+    def contributions(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's score of every row of a table: ``(contrib, fired)``.
 
         ``fired[i, k]`` says member k's inputs are all present in row i;
         a member reading a column the table lacks never fires, and the
-        table's target is not an input. Row i is scored iff any member
-        fired there: in boosting the base then fired too, as it reads a
-        subset of every member's inputs. ``values[i]`` is what
-        ``predict`` returns for row i's other present signals, bit for
-        bit, and NaN where no member fired.
+        table's target is not an input. ``contrib[i, k]`` is member k's
+        ``predict_matrix`` value for row i where it fired and 0.0
+        elsewhere; each member's column is contiguous.
         """
         columns = {
             s: j for j, s in enumerate(dataset.signals) if s != dataset.target
         }
         fired = np.zeros((dataset.n_rows, len(self.members)), dtype=bool)
-        total = np.zeros(dataset.n_rows)
+        contrib = np.zeros((len(self.members), dataset.n_rows)).T
         for k, member in enumerate(self.members):
             if not set(member.features) <= columns.keys():
                 continue
             fired[:, k] = dataset.rows_with(member.features)
             rows = np.flatnonzero(fired[:, k])
             X = dataset.values[np.ix_(rows, [columns[s] for s in member.features])]
-            total[rows] += member.learner.predict_matrix(X)
+            contrib[:, k][rows] = member.learner.predict_matrix(X)
+        return contrib, fired
+
+    def predict_dataset(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Every row of a table scored at once: ``(values, fired)``.
+
+        ``fired`` is that of ``contributions``. Row i is scored iff any
+        member fired there: in boosting the base then fired too, as it
+        reads a subset of every member's inputs. ``values[i]`` sums row
+        i's contributions in member order from 0.0, where an added 0.0
+        changes nothing, so it is what ``predict`` returns for row i's
+        other present signals, bit for bit, and NaN where no member fired.
+        """
+        contrib, fired = self.contributions(dataset)
+        total = np.zeros(dataset.n_rows)
+        for column in contrib.T:
+            total += column
         scored = fired.any(axis=1)
         if self.mode == "bagging":
             total[scored] /= fired.sum(axis=1)[scored]
@@ -203,21 +217,29 @@ def _fit_members(
     its features and the target are present.
 
     Member k is fit against the target minus the summed predictions of
-    the earlier members listed in ``parents[k]``, scored on the whole
-    table by ``predict_dataset``; rows score independently there, so
-    each residual equals the one scored on member k's rows alone.
+    the earlier members listed in ``parents[k]``. A member listed there
+    scores its own training matrix once, after its fit, into a column
+    over the table, 0.0 elsewhere: 8 bytes per row. Member k's parents'
+    columns are added in member order from 0.0, as ``predict_dataset``
+    adds contributions; each parent fires at all of member k's rows, so
+    its residuals have the bits of the parents scored there.
     """
+    has_children = {j for prefix in parents for j in prefix}
+    contrib: dict[int, np.ndarray] = {}
     members: list[EnsembleMember] = []
-    for spec, prefix, name in zip(specs, parents, names):
+    for k, (spec, prefix, name) in enumerate(zip(specs, parents, names)):
         rows = training_rows(dataset, spec)
         X = dataset.values[np.ix_(rows, [dataset.index(s) for s in spec.features])]
         y = dataset.column(dataset.target)[rows]
         if prefix:
-            parent = EnsembleModel(
-                "boosting", dataset.target, tuple(members[j] for j in prefix)
-            )
-            y = y - parent.predict_dataset(dataset)[0][rows]
+            fitted = np.zeros(dataset.n_rows)
+            for j in prefix:
+                fitted += contrib[j]
+            y = y - fitted[rows]
         learner = fit(config, X, y, features=spec.features)
+        if k in has_children:
+            contrib[k] = np.zeros(dataset.n_rows)
+            contrib[k][rows] = learner.predict_matrix(X)
         members.append(EnsembleMember(name, spec.features, learner))
     return tuple(members)
 

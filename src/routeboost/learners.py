@@ -171,7 +171,12 @@ class TreeLearner:
                 out[rows] = node.value
                 continue
             left = X[rows, node.feature] <= node.threshold
-            stack += [(node.right, rows[~left]), (node.left, rows[left])]
+            # compress, not a boolean index: on a mask with no pattern it
+            # costs about a third as much, and picks the same rows.
+            stack += [
+                (node.right, rows.compress(~left)),
+                (node.left, rows.compress(left)),
+            ]
         return out
 
     def depth(self) -> int:
@@ -386,13 +391,14 @@ def _fit_tree(
     EDBT 1996), by ``_stable_order``. A node's orders list its rows by
     (value, row index) per feature; a child keeps its share of each,
     which is exactly the stable sort of its own values, so every node
-    scans what a per-node stable argsort would give. The share is read
-    through one row mask per fit, stamped once per split over the node's
-    rows, so a node's work is proportional to its own rows. Pending
-    nodes wait on a stack, the right child under the left so that nodes
-    are fit in preorder, each with its own rows and, if it will scan,
-    its own orders. Their rows are disjoint, so at any depth their
-    orders hold at most one index per row and feature.
+    scans what a per-node stable argsort would give. A node's orders are
+    one features × rows array, and the share is read through one row
+    mask per fit, stamped once per split over the node's rows and read
+    once per feature through its orders, so a node's work is
+    proportional to its own rows. Pending nodes wait on a stack, the right child under the
+    left so that nodes are fit in preorder, each with its own rows and,
+    if it will scan, its own orders. Their rows are disjoint, so at any
+    depth their orders hold at most one index per row and feature.
     """
     min_leaf = config.tree_min_leaf
     columns = [X[:, j] for j in range(X.shape[1])]
@@ -414,7 +420,7 @@ def _fit_tree(
             preorder.append(Leaf(mean, n))
             continue
         if orders is None:
-            orders = [_stable_order(column) for column in columns]
+            orders = np.array([_stable_order(column) for column in columns])
         best = None  # (score, feature, threshold)
         for j, (column, order) in enumerate(zip(columns, orders)):
             found = scan_split(column[order], y[order] - mean, min_leaf)
@@ -430,11 +436,23 @@ def _fit_tree(
         preorder.append((feature, threshold))
         go_left = columns[feature][rows] <= threshold
         side[rows] = go_left
-        scans = depth + 1 < config.tree_max_depth
-        for child, keep in ((rows[~go_left], False), (rows[go_left], True)):
-            cut = scans and child.shape[0] >= 2 * min_leaf
-            child_orders = [o[side[o] == keep] for o in orders] if cut else None
-            stack.append((child, depth + 1, child_orders))
+        # compress, as in predict_matrix, for the rows and orders of each side.
+        children = [rows.compress(~go_left), rows.compress(go_left)]
+        cuts = [
+            np.empty((len(columns), child.shape[0]), dtype=np.intp)
+            if depth + 1 < config.tree_max_depth and child.shape[0] >= 2 * min_leaf
+            else None
+            for child in children
+        ]
+        if any(cut is not None for cut in cuts):
+            # One gather of the side per feature; compress's index array
+            # is then one feature's share of a child.
+            for j, order in enumerate(orders):
+                went = side[order]
+                for keep, cut in enumerate(cuts):
+                    if cut is not None:
+                        order.compress(went if keep else ~went, out=cut[j])
+        stack += [(child, depth + 1, cut) for child, cut in zip(children, cuts)]
     return TreeLearner(names, _from_preorder(preorder))
 
 

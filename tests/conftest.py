@@ -4,6 +4,16 @@ import numpy as np
 import pytest
 
 from routeboost.data import Dataset, dataset_from_columns
+from routeboost.subsetting import StrategyOptions, build_subset_specs
+from routeboost.synthgen import (
+    GenSpec,
+    PlantLayout,
+    Route,
+    SignalSpec,
+    TargetRule,
+    Unit,
+    generate,
+)
 
 
 @pytest.fixture
@@ -46,3 +56,39 @@ def peak_over_values(build) -> float:
     finally:
         tracemalloc.stop()
     return peak / dataset.values.nbytes
+
+
+def nested_chain(n_routes: int) -> dict[str, tuple[int, ...]]:
+    """Routes ``c0``, ``c1``, ... where route k visits units 0 to k."""
+    return {f"c{k}": tuple(range(k + 1)) for k in range(n_routes)}
+
+
+def route_plant(routes: dict[str, tuple[int, ...]], n_rows: int, seed: int):
+    """A generated plant and its "routes" subset specs, one per route.
+
+    Route ``name`` visits the units numbered ``routes[name]``, all routes
+    at one probability. Unit i is ``u{i}`` with two normal signals, and
+    every signal has its own target coefficient.
+    """
+    n_units = 1 + max(max(units) for units in routes.values())
+    normal = ("normal", 0.0, 1.0)
+    units = tuple(
+        Unit(f"u{i}", (SignalSpec(f"u{i}_1", normal), SignalSpec(f"u{i}_2", normal)))
+        for i in range(n_units)
+    )
+    signals = [s.name for unit in units for s in unit.signals]
+    weights = {s: 1.0 - j / (2 * len(signals)) for j, s in enumerate(signals)}
+    layout = PlantLayout(
+        units,
+        tuple(
+            Route(name, tuple(f"u{i}" for i in visited), 1.0 / len(routes))
+            for name, visited in routes.items()
+        ),
+        TargetRule("Y", 5.0, weights, 1.0),
+    )
+    layout.validate()
+    dataset = generate(GenSpec(layout, n_rows, seed))
+    groups = {u.name: [s.name for s in u.signals] for u in units}
+    segments = {name: [f"u{i}" for i in visited] for name, visited in routes.items()}
+    specs, _ = build_subset_specs(dataset, StrategyOptions("routes", groups, segments))
+    return dataset, specs

@@ -8,7 +8,8 @@ stages that still loop over rows, or over batches of rows, are pinned at
 their calls per row, so that number can only fall. So is the one-row
 scoring path, ``predict_with_members``, at its calls per scored row, and
 generate's one-at-a-time redraw, which the profiler cannot see, at the
-share of rows it redraws.
+share of rows it redraws. Training a nested chain of routes may score
+each member at most once, whatever the chain's length.
 """
 
 import gc
@@ -25,6 +26,7 @@ from routeboost.errors import NoApplicableModel
 from routeboost.learners import LearnerConfig, Split
 from routeboost.subsetting import StrategyOptions, SubsetSpec, build_subset_specs
 from routeboost.synthgen import GenSpec, default_layout, generate
+from tests.conftest import nested_chain, route_plant
 
 SMALL, LARGE = 2_000, 8_000
 
@@ -93,6 +95,22 @@ def calls(fn, *args):
         sys.setprofile(None)
         gc.enable()
     return n - 1, result  # less the c_call of sys.setprofile(None)
+
+
+def predict_matrix_calls(fn, *args):
+    """``(number of calls of a function named predict_matrix, result)``."""
+    n = 0
+
+    def count(frame, event, arg):
+        nonlocal n
+        n += event == "call" and frame.f_code.co_name == "predict_matrix"
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return n, result
 
 
 def score_rows(model, rows) -> int:
@@ -195,3 +213,15 @@ def test_generate_redraws_few_rows(monkeypatch, n_rows, seed):
     generate(GenSpec(default_layout(), n_rows, seed))
     assert len(redrawn) == 1
     assert redrawn[0] / n_rows <= REDRAWN_FRACTION
+
+
+@pytest.mark.parametrize("kind", ["ridge", "tree"])
+def test_training_scores_each_member_at_most_once(kind):
+    """A member is scored once, after its fit, for the members fit against
+    it; scoring every parent again for each member of a 6-route chain
+    made 15 calls."""
+    dataset, specs = route_plant(nested_chain(6), SMALL, 5)
+    config = LearnerConfig(kind=kind)
+    n, model = predict_matrix_calls(train_proposed, dataset, specs, config, "boosting")
+    assert len(model.members) == 6
+    assert n <= len(model.members)

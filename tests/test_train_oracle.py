@@ -30,6 +30,7 @@ from routeboost.subsetting import (
 )
 from routeboost.synthgen import GenSpec, default_layout, generate
 from tests import train_oracle
+from tests.conftest import nested_chain, route_plant
 
 SPEC_TRAINERS = ("train_boosting", "train_boosting_branched", "train_bagging")
 LEARNERS = (
@@ -87,6 +88,31 @@ def test_plant_models_match_oracle(n_rows, seed, strategy, name, learner):
 def test_plant_conventional_matches_oracle(n_rows, seed, learner):
     ds, _ = plant(n_rows, seed)
     assert_same("train_conventional", ds, learner)
+
+
+# Longer chains than the default plant's three routes, and branches that
+# do not contain each other: b1 and b2 each carry a chain of their own,
+# and b12 lies above both, so it is fit against members of each branch.
+LAYOUTS = {
+    "chain6": nested_chain(6),
+    "branched": {
+        "base": (0,),
+        "b1": (0, 1),
+        "b2": (0, 2),
+        "b1x": (0, 1, 3),
+        "b2x": (0, 2, 4),
+        "b12": (0, 1, 2),
+    },
+}
+
+
+@pytest.mark.parametrize("learner", [LEARNERS[1], LEARNERS[3]], ids=["ridge", "tree"])
+@pytest.mark.parametrize("name", SPEC_TRAINERS)
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_route_layouts_match_oracle(layout, name, learner):
+    ds, specs = route_plant(LAYOUTS[layout], 1200, 3)
+    assert len(specs) == 6
+    assert_same(name, ds, specs, learner)
 
 
 @pytest.mark.parametrize("learner", LEARNERS, ids=LEARNER_IDS)
