@@ -395,10 +395,11 @@ def _fit_tree(
     one features × rows array, and the share is read through one row
     mask per fit, stamped once per split over the node's rows and read
     once per feature through its orders, so a node's work is
-    proportional to its own rows. Pending nodes wait on a stack, the right child under the
-    left so that nodes are fit in preorder, each with its own rows and,
-    if it will scan, its own orders. Their rows are disjoint, so at any
-    depth their orders hold at most one index per row and feature.
+    proportional to its own rows. Pending nodes wait on a stack, the
+    right child under the left so that nodes are fit in preorder, each
+    with its own rows and, if it will scan, its own orders. Their rows
+    are disjoint, so at any depth their orders hold at most one index
+    per row and feature.
     """
     min_leaf = config.tree_min_leaf
     columns = [X[:, j] for j in range(X.shape[1])]
