@@ -48,14 +48,21 @@ def check_groups(dataset: Dataset, groups: Sequence[SignalGroup]) -> None:
 
 
 def _count_patterns(
-    mask: np.ndarray, names: Sequence[str]
+    rows: np.ndarray, counts: np.ndarray, names: Sequence[str]
 ) -> list[tuple[frozenset[str], int]]:
-    """Distinct rows of ``mask`` as sets of column ``names`` with their
-    counts, most frequent first, ties in the order of the sorted names."""
-    first, inverse = unique_rows(mask)
+    """The distinct rows of the bool matrix ``rows`` as sets of column
+    ``names``, each with the summed ``counts`` of the rows equal to it,
+    most frequent first, ties in the order of the sorted names.
+
+    ``rows`` are a dataset's availability patterns, or a reduction of
+    them in which several patterns may become one.
+    """
+    first, inverse = unique_rows(rows)
+    totals = np.zeros(first.size, dtype=np.int64)
+    np.add.at(totals, inverse, counts)
     patterns = [
-        (frozenset(n for n, ok in zip(names, row) if ok), count)
-        for row, count in zip(mask[first].tolist(), np.bincount(inverse).tolist())
+        (frozenset(n for n, ok in zip(names, row) if ok), total)
+        for row, total in zip(rows[first].tolist(), totals.tolist())
     ]
     patterns.sort(key=lambda p: (-p[1], tuple(sorted(p[0]))))
     return patterns
@@ -69,7 +76,9 @@ def pattern_summary(dataset: Dataset) -> list[AvailabilityPattern]:
     """
     return [
         AvailabilityPattern(present, count)
-        for present, count in _count_patterns(dataset.availability_mask(), dataset.signals)
+        for present, count in _count_patterns(
+            *dataset.availability_patterns(), dataset.signals
+        )
     ]
 
 
@@ -78,19 +87,16 @@ def infer_signal_groups(dataset: Dataset) -> list[SignalGroup]:
 
     Names are auto-assigned G1, G2, ... ordered by the first member's
     column index. This stands in for plant-layout knowledge when no
-    explicit grouping is configured.
+    explicit grouping is configured. Two columns are equal on every row
+    exactly when they are equal on every distinct availability pattern.
     """
-    mask = dataset.availability_mask()
+    patterns, _ = dataset.availability_patterns()
     buckets: dict[bytes, list[SignalId]] = {}
-    order: list[bytes] = []
-    for j, signal in enumerate(dataset.signals):
-        key = mask[:, j].tobytes()
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(signal)
+    for signal, column in zip(dataset.signals, patterns.T):
+        buckets.setdefault(column.tobytes(), []).append(signal)
     return [
-        SignalGroup(f"G{i + 1}", tuple(buckets[key])) for i, key in enumerate(order)
+        SignalGroup(f"G{i + 1}", tuple(members))
+        for i, members in enumerate(buckets.values())
     ]
 
 
@@ -99,7 +105,7 @@ def always_available_signals(dataset: Dataset) -> set[SignalId]:
 
     For a 0-row dataset this is vacuously all signals.
     """
-    complete = dataset.availability_mask().all(axis=0)
+    complete = dataset.availability_patterns()[0].all(axis=0)
     return {s for s, ok in zip(dataset.signals, complete) if ok}
 
 
@@ -112,10 +118,11 @@ def route_frequencies(
     present. Counts sum to n_rows.
     """
     check_groups(dataset, groups)
-    group_ok = np.zeros((dataset.n_rows, len(groups)), dtype=bool)
+    patterns, counts = dataset.availability_patterns()
+    group_ok = np.zeros((len(patterns), len(groups)), dtype=bool)
     for k, g in enumerate(groups):
-        group_ok[:, k] = dataset.rows_with(g.members)
+        group_ok[:, k] = patterns[:, [dataset.index(s) for s in g.members]].all(axis=1)
     return [
         RoutePattern(present, count)
-        for present, count in _count_patterns(group_ok, [g.name for g in groups])
+        for present, count in _count_patterns(group_ok, counts, [g.name for g in groups])
     ]

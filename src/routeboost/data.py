@@ -115,6 +115,25 @@ class Dataset:
         """
         return self._mask
 
+    @cached_property
+    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        first, inverse = unique_rows(self._mask)
+        rows = self._mask[first]
+        counts = np.bincount(inverse, minlength=first.size)
+        rows.flags.writeable = counts.flags.writeable = False
+        return rows, counts
+
+    def availability_patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(patterns, counts)``: each distinct row of ``availability_mask()``
+        once, as a read-only bool (n_patterns, n_signals) matrix in an
+        unspecified but fixed order, and the read-only number of rows
+        showing each, which sum to n_rows.
+
+        The mask is sorted once, on the first call; every summary of the
+        missingness structure reduces these few rows instead of the mask.
+        """
+        return self._patterns
+
     def rows_with(self, signals: Iterable[SignalId]) -> np.ndarray:
         """Boolean per row: True where every one of ``signals`` is present.
 

@@ -80,10 +80,16 @@ TreeNode = Union[Leaf, Split]
 
 
 def _nodes(root: TreeNode) -> Iterator[TreeNode]:
-    """The nodes under ``root`` in preorder, each split before its left subtree."""
+    """The nodes under ``root`` in preorder, each split before its left
+    subtree; a node that two splits share (only a hand-built tree can
+    share one) is yielded once, on its first path."""
     stack = [root]
+    seen: set[int] = set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         yield node
         if isinstance(node, Split):
             stack += [node.right, node.left]
@@ -505,11 +511,18 @@ def _tree_from_dict(params: dict, n_features: int) -> TreeNode:
 
 def _tree_to_dict(root: TreeNode) -> dict:
     """``dataclasses.asdict(root)``, the same nested dicts with the same
-    key order, written from an explicit stack without copying scalars."""
+    key order, written from an explicit stack without copying scalars.
+
+    A node that two splits share raises ValueError, as it does in the
+    reader: it would be written once per path."""
     out: dict = {}
     stack = [(root, out)]
+    written: set[int] = set()  # ids of the nodes written so far
     while stack:
         node, d = stack.pop()
+        if id(node) in written:
+            raise ValueError("tree shares a node document between two paths")
+        written.add(id(node))
         if isinstance(node, Leaf):
             d.update(value=node.value, n_rows=node.n_rows)
         else:

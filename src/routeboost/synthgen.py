@@ -284,9 +284,13 @@ _LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
 _11, _9, _LAYER, _SIGN = np.uint64(11), np.uint64(9), np.uint64(0xFF), np.uint64(0x100)
 _MANTISSA, _ONE = np.uint64(2**52 - 1), np.uint64(1)
-# Philox blocks per batch of rows, at most: bounds the temporaries whatever
-# the route length.
+# Philox blocks per batch of rows, at least (``_BATCH_BLOCKS // width``
+# rows): a small table's batches stay large enough that the per-batch
+# NumPy calls do not dominate, whatever the route length.
 _BATCH_BLOCKS = 4096
+# Batches per table, at most: each batch's temporaries are about this
+# fraction of the table's rows, so they stay a fixed share of its values.
+_BATCHES = 10
 
 
 def _philox(keys: np.ndarray, counters, seed: int) -> np.ndarray:
@@ -401,6 +405,13 @@ def _draw_fast_rows(seed: int, draws, cum: np.ndarray, values, route_of) -> np.n
     Word k of a row's stream is word k % 4 of its Philox block k // 4 + 1
     (NumPy steps the counter before it computes a block); the route pick
     is word 0 and the route's draws are words 1, 2, ...
+
+    The rows are drawn in batches of a tenth of the table, rounded up,
+    and never fewer than ``_BATCH_BLOCKS // width`` rows, where ``width``
+    is the most blocks a row needs. Every block is a function of its row
+    and counter alone, so how the rows are cut changes no bit; the cut
+    follows ``n_rows`` only, and keeps the temporaries a fixed share of
+    the values.
     """
     n_rows = route_of.size
     blocks = np.array([(len(d) + 4) // 4 for d in draws])  # ceil((1 + len(d)) / 4)
@@ -435,7 +446,7 @@ def _draw_fast_rows(seed: int, draws, cum: np.ndarray, values, route_of) -> np.n
             rejected.append(start + sel[~np.logical_and.reduce(fast, axis=1), 0])
         return np.concatenate(rejected)
 
-    batch = max(1, _BATCH_BLOCKS // width)
+    batch = max(1, _BATCH_BLOCKS // width, -(-n_rows // _BATCHES))
     return np.concatenate([
         draw_batch(start, min(start + batch, n_rows)) for start in range(0, n_rows, batch)
     ])

@@ -12,6 +12,7 @@ from routeboost.analysis import (
 )
 from routeboost.data import Dataset, dataset_from_columns, unique_rows
 from routeboost.errors import OverlappingGroups, UnknownSignal
+from tests import analysis_oracle
 from tests.conftest import random_masked_dataset
 
 
@@ -172,3 +173,74 @@ def test_packed_unique_rows_match_row_sort(n_rows, n_cols, seed):
         zip(map(bytes, want_rows), want_counts.tolist())
     )
     assert len(rows) == len(want_rows)
+
+
+def random_groups(rng: np.random.Generator, dataset: Dataset) -> list[SignalGroup]:
+    """The signals dealt at random into disjoint groups; some may be empty."""
+    n_groups = int(rng.integers(1, 5))
+    owner = rng.integers(0, n_groups, size=len(dataset.signals)).tolist()
+    return [
+        SignalGroup(f"g{k}", tuple(s for s, o in zip(dataset.signals, owner) if o == k))
+        for k in range(n_groups)
+    ]
+
+
+def assert_matches_oracle(dataset: Dataset, groups: list[SignalGroup]) -> None:
+    """Every summary over the distinct patterns equals its full-mask oracle."""
+    assert pattern_summary(dataset) == analysis_oracle.pattern_summary(dataset)
+    inferred = infer_signal_groups(dataset)
+    assert inferred == analysis_oracle.infer_signal_groups(dataset)
+    assert always_available_signals(dataset) == analysis_oracle.always_available_signals(
+        dataset
+    )
+    for g in (inferred, groups):
+        assert route_frequencies(dataset, g) == analysis_oracle.route_frequencies(dataset, g)
+
+
+NAN = np.nan
+EDGE_DATASETS = {
+    "no_rows_no_signals": Dataset((), np.empty((0, 0))),
+    "no_signals": Dataset((), np.empty((4, 0))),
+    "no_rows": Dataset(("A", "B", "Y"), np.empty((0, 3)), "Y"),
+    "one_column": Dataset(("Y",), [[1.0], [NAN], [2.0], [NAN]], "Y"),
+    "one_column_all_present": Dataset(("Y",), [[1.0], [2.0]], "Y"),
+    "one_column_all_missing": Dataset(("Y",), [[NAN], [NAN], [NAN]], "Y"),
+    "all_missing_and_all_present_columns": Dataset(
+        ("A", "B", "C", "Y"),
+        [[1.0, NAN, 2.0, NAN], [3.0, NAN, NAN, 4.0], [5.0, NAN, 6.0, 7.0]],
+        "Y",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DATASETS))
+def test_edge_datasets_match_full_mask_oracle(name):
+    dataset = EDGE_DATASETS[name]
+    assert_matches_oracle(dataset, random_groups(np.random.default_rng(0), dataset))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["as drawn", "all missing", "all present"]),
+)
+def test_summaries_match_full_mask_oracle(seed, forced):
+    """With one random column forced all missing or all present."""
+    rng = np.random.default_rng(seed)
+    dataset = random_masked_dataset(rng)
+    if forced != "as drawn":
+        values = dataset.values.copy()
+        j = int(rng.integers(len(dataset.signals)))
+        values[:, j] = NAN if forced == "all missing" else rng.normal(size=dataset.n_rows)
+        dataset = Dataset(dataset.signals, values, dataset.target)
+    assert_matches_oracle(dataset, random_groups(rng, dataset))
+
+
+def test_patterns_are_read_only_and_found_once(toy6):
+    patterns, counts = toy6.availability_patterns()
+    assert toy6.availability_patterns()[0] is patterns
+    assert not patterns.flags.writeable and not counts.flags.writeable
+    assert sorted(map(tuple, patterns.tolist())) == [
+        (True, False, True, True), (True, True, False, True)
+    ]
+    assert counts.tolist() == [3, 3] and counts.sum() == toy6.n_rows

@@ -376,9 +376,9 @@ class TestSerialization:
         model = fit(LearnerConfig(kind="tree", tree_max_depth=8, tree_min_leaf=1), X, y)
         root = learner_to_dict(model)["parameters"]["root"]
         assert json.dumps(root) == json.dumps(dataclasses.asdict(model.root))
-        shared = chain_tree(5, shared=True)
-        written = learner_to_dict(TreeLearner(("a",), shared))["parameters"]["root"]
-        assert json.dumps(written) == json.dumps(dataclasses.asdict(shared))
+        # asdict writes a shared node once per path; the writer refuses it.
+        with pytest.raises(ValueError, match="shares a node"):
+            learner_to_dict(TreeLearner(("a",), chain_tree(5, shared=True)))
 
     def test_schema_shape(self):
         model = fit(LearnerConfig(kind="ridge"), [[1.0], [2.0]], [1.0, 2.0], ["a"])
@@ -569,3 +569,12 @@ class TestSplitHeight:
         assert tree.predict_one([1.0]) == 0.0
         rows = np.array([[0.0], [0.5], [1.0], [-3.0]])
         assert tree.predict_matrix(rows).tolist() == [tree.predict_one(r) for r in rows]
+
+    def test_shared_children_are_listed_once_and_not_written(self):
+        # 2**64 paths: leaves() must list the one leaf, and the writer must
+        # refuse the tree, as the reader refuses a shared node document.
+        tree = TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH, shared=True))
+        assert tree.leaves() == [Leaf(0.0, 1)]
+        assert len(learners._parameters(tree)) == MAX_TREE_DEPTH + 1
+        with pytest.raises(ValueError, match="tree shares a node document between two paths"):
+            learner_to_dict(tree)

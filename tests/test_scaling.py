@@ -9,7 +9,8 @@ their calls per row, so that number can only fall. So is the one-row
 scoring path, ``predict_with_members``, at its calls per scored row, and
 generate's one-at-a-time redraw, which the profiler cannot see, at the
 share of rows it redraws. Training a nested chain of routes may score
-each member at most once, whatever the chain's length.
+each member at most once, whatever the chain's length, and the
+missingness summaries of one table may sort its mask at most once.
 """
 
 import gc
@@ -111,6 +112,24 @@ def predict_matrix_calls(fn, *args):
     finally:
         sys.setprofile(None)
     return n, result
+
+
+def table_sorts(n_rows: int, fn, *args) -> int:
+    """Calls of a function named unique_rows on an ``n_rows``-row mask
+    made by ``fn(*args)``."""
+    n = 0
+
+    def count(frame, event, arg):
+        nonlocal n
+        if event == "call" and frame.f_code.co_name == "unique_rows":
+            n += len(frame.f_locals["mask"]) == n_rows
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return n
 
 
 def score_rows(model, rows) -> int:
@@ -225,3 +244,16 @@ def test_training_scores_each_member_at_most_once(kind):
     n, model = predict_matrix_calls(train_proposed, dataset, specs, config, "boosting")
     assert len(model.members) == 6
     assert n <= len(model.members)
+
+
+def test_analysis_sorts_the_mask_once():
+    """The summaries read the table's distinct availability patterns,
+    found once per dataset; sorting the mask in each summary made 3."""
+    dataset = generate(GenSpec(default_layout(), SMALL, 5))
+
+    def analyse():
+        pattern_summary(dataset)
+        route_frequencies(dataset, infer_signal_groups(dataset))
+        build_subset_specs(dataset, StrategyOptions(strategy="auto"))
+
+    assert table_sorts(dataset.n_rows, analyse) <= 1

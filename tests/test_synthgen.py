@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from routeboost import synthgen
 from routeboost.analysis import SignalGroup, route_frequencies
 from routeboost.data import write_csv
 from routeboost.errors import InvalidLayout, NonFinite
@@ -73,8 +76,11 @@ class TestGenerate:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_values_are_allocated_once(self):
-        spec = GenSpec(default_layout(), 10_000, 0)
-        assert peak_over_values(lambda: generate(spec)) <= 1.5
+        # At 60,000 rows each batch is a tenth of the table, not the
+        # _BATCH_BLOCKS floor that 10,000 rows use.
+        for n_rows in (10_000, 60_000):
+            spec = GenSpec(default_layout(), n_rows, 0)
+            assert peak_over_values(lambda: generate(spec)) <= 1.5
 
     @pytest.mark.parametrize(
         "edit, cell",
@@ -98,11 +104,20 @@ class TestGenerate:
 
     def test_row_substreams_stable_under_row_count(self):
         layout = default_layout()
-        small = generate(GenSpec(layout, 50, 7))
-        large = generate(GenSpec(layout, 120, 7))
-        assert np.array_equal(
-            small.values, large.values[:50], equal_nan=True
-        )
+        # 30,000 rows are drawn in batches of a tenth of the table, 10,000
+        # in batches of _BATCH_BLOCKS blocks: the cuts differ.
+        for n_small, n_large in [(50, 120), (10_000, 30_000)]:
+            small = generate(GenSpec(layout, n_small, 7))
+            large = generate(GenSpec(layout, n_large, 7))
+            assert np.array_equal(
+                small.values, large.values[:n_small], equal_nan=True
+            )
+
+    def test_batch_size_moves_no_bit(self, monkeypatch):
+        spec = GenSpec(default_layout(), 3_000, 11)
+        want = hashlib.sha256(generate(spec).values.tobytes()).hexdigest()
+        monkeypatch.setattr(synthgen, "_BATCH_BLOCKS", 64)
+        assert hashlib.sha256(generate(spec).values.tobytes()).hexdigest() == want
 
     def test_availability_equals_route_signals(self):
         layout = default_layout()
