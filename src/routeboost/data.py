@@ -16,6 +16,7 @@ number and integer helpers beside them.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -206,6 +207,7 @@ def dataset_from_columns(
         for i, v in enumerate(columns[name]):
             if v is not None:
                 values[i, j] = float(v)
+    values.flags.writeable = False  # a fresh array, so Dataset need not copy
     return Dataset(signals, values, target)
 
 
@@ -244,22 +246,6 @@ def _parse_cell(field: str, line_no: int, col: str) -> float:
 CSV_BLOCK_ROWS = 4096
 
 
-def _to_floats(fields: list[str], present: np.ndarray) -> np.ndarray | None:
-    """The ``_plain`` fields as a flat float array, NaN where ``present``
-    is False; ``None`` when a present field is not a finite number."""
-    try:
-        parsed = np.fromiter(
-            map(float, filter(None, fields)), np.float64, int(present.sum())
-        )
-    except ValueError:
-        return None
-    if not np.isfinite(parsed).all():
-        return None
-    values = np.full(present.size, np.nan)
-    values[present] = parsed
-    return values
-
-
 def _field_presence(text: str, n_lines: int, width: int) -> np.ndarray | None:
     """Whether each field of ``n_lines`` newline-ended lines of ASCII text
     is non-empty; ``None`` unless every line has ``width`` fields within
@@ -281,35 +267,48 @@ def _field_presence(text: str, n_lines: int, width: int) -> np.ndarray | None:
     return gaps > 1
 
 
-def _split_block(text: str, n_lines: int, width: int) -> np.ndarray | None:
-    """``n_lines`` whole lines of text as a (n_lines, width) float array.
+def _split_block(text: str, out: np.ndarray) -> bool:
+    """Split whole lines of text into ``out``, the rows of the table they
+    fill, one row per line; whether it did.
 
     This splits the text the way csv.reader would, so it answers only
     for text with no quote, no CR outside a CRLF and no non-ASCII
-    character, where every line has ``width`` fields within
-    ``csv.field_size_limit()``. Anything else, and any field that is not
-    a finite number, gives ``None``.
+    character, where every line has one field per column of ``out``
+    within ``csv.field_size_limit()``. Anything else, and any field that is not
+    a finite number, gives False and may leave ``out`` partly written.
     """
     if '"' in text:
-        return None
+        return False
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
-            return None
+            return False
     if not text.endswith("\n"):  # the last line of the file
         text += "\n"
     try:
-        present = _field_presence(text, n_lines, width)
+        present = _field_presence(text, *out.shape)
     except UnicodeEncodeError:
-        return None
+        return False
     if present is None:
-        return None
-    if width == 1 and not present.all():
-        return None  # csv.reader reads a blank line as a record of no fields
+        return False
+    if out.shape[1] == 1 and not present.all():
+        return False  # csv.reader reads a blank line as a record of no fields
     # Commas are plain, and a CR was refused above.
     text = text.replace("\n", ",")
-    values = _to_floats(text.split(","), present) if _plain(text) else None
-    return None if values is None else values.reshape(n_lines, width)
+    if not _plain(text):
+        return False
+    try:
+        parsed = np.fromiter(
+            map(float, filter(None, text.split(","))), np.float64, int(present.sum())
+        )
+    except ValueError:
+        return False
+    if not np.isfinite(parsed).all():
+        return False
+    flat = out.reshape(-1)  # a view: out holds whole rows of a C-ordered table
+    flat.fill(np.nan)
+    flat[present] = parsed
+    return True
 
 
 def _parse_records(
@@ -340,43 +339,86 @@ def _parse_records(
     yield np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
+def _count_lines(fh: BinaryIO, chunk: int = 1 << 20) -> int:
+    """The lines of the binary stream ``fh``, read ``chunk`` bytes at a
+    time, as the text reader and csv.reader split them: each ``\\n``,
+    ``\\r\\n`` or lone ``\\r`` ends one, and the last may have no end."""
+    lines, last = 0, b""
+    while data := fh.read(chunk):
+        # NumPy compares bytes several times faster than bytes.count counts them.
+        codes = np.frombuffer(data, np.uint8)
+        lf = codes == ord("\n")
+        lines += int(np.count_nonzero(lf))
+        if b"\r" in data:  # a CR ends a line unless an LF follows it
+            cr = codes == ord("\r")
+            lines += int(np.count_nonzero(cr[:-1] & ~lf[1:])) + bool(cr[-1])
+        lines -= last == b"\r" and data.startswith(b"\n")  # a CRLF across chunks
+        last = data[-1:]
+    return lines + (last not in (b"", b"\n", b"\r"))
+
+
 def load_table(path: str | Path) -> Dataset:
     """Read a CSV file into a target-less dataset.
 
-    The lines after the header are read in blocks of ``CSV_BLOCK_ROWS``.
-    A block that ``_split_block`` cannot split, and the rest of the file
-    after it, go through csv.reader and ``_parse_records`` one record at
-    a time, field by field. An error names the first bad line and column
-    in file order.
+    The file is opened once in binary and its lines are counted, then
+    rewound and read as text by ``_read_rows``; a stream that cannot be
+    rewound, such as a pipe, is read into memory first.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise MalformedCsv(f"{path}: empty file") from None
-            except csv.Error as exc:
-                raise MalformedCsv(f"{path}: line 1: {exc}") from None
-            if len(set(header)) != len(header):
-                dupes = sorted({s for s in header if header.count(s) > 1})
-                raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
-            for name in header:
-                _check_signal_name(name)
-            blocks = [np.empty((0, len(header)))]
-            line_no = 2
-            while lines := list(islice(fh, CSV_BLOCK_ROWS)):
-                values = _split_block("".join(lines), len(lines), len(header))
-                if values is None:
-                    reader = csv.reader(chain(lines, fh))
-                    blocks.extend(_parse_records(reader, header, line_no, path))
-                    break
-                blocks.append(values)
-                line_no += len(lines)
+        with open(path, "rb") as raw:
+            stream = raw if raw.seekable() else io.BytesIO(raw.read())
+            n_lines = _count_lines(stream)
+            stream.seek(0)
+            with io.TextIOWrapper(stream, encoding="utf-8-sig", newline="") as fh:
+                header, values = _read_rows(fh, n_lines, path)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc})") from None
-    values = np.concatenate(blocks)
     values.flags.writeable = False  # nothing else holds it, so Dataset need not copy
     return Dataset(tuple(header), values)
+
+
+def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and the values of the CSV text ``fh`` of ``n_lines`` lines.
+
+    A table has at most one row per line after the header, so its values
+    are allocated once. The lines are read in blocks of
+    ``CSV_BLOCK_ROWS``, and ``_split_block`` writes each into its rows.
+    A block it cannot split, and the rest of the file after it, go
+    through csv.reader and ``_parse_records`` one record at a time,
+    field by field, and each converted block is copied into its rows.
+    An error names the first bad line and column in file order. A file
+    that grew after its lines were counted raises MalformedCsv; one that
+    shrank has its filled rows copied out.
+    """
+    try:
+        header = next(csv.reader(fh))
+    except StopIteration:
+        raise MalformedCsv(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: line 1: {exc}") from None
+    if len(set(header)) != len(header):
+        dupes = sorted({s for s in header if header.count(s) > 1})
+        raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
+    for name in header:
+        _check_signal_name(name)
+    # A valid header is one line, and a record takes at least one more.
+    values = np.empty((max(n_lines - 1, 0), len(header)))
+
+    def rows(start: int, n: int) -> np.ndarray:
+        if start + n > len(values):
+            raise MalformedCsv(f"{path}: the file changed while it was read")
+        return values[start:start + n]
+
+    n_rows = 0
+    while lines := list(islice(fh, CSV_BLOCK_ROWS)):
+        if not _split_block("".join(lines), rows(n_rows, len(lines))):
+            reader = csv.reader(chain(lines, fh))
+            for block in _parse_records(reader, header, n_rows + 2, path):
+                rows(n_rows, len(block))[...] = block
+                n_rows += len(block)
+            break
+        n_rows += len(lines)
+    return header, values if n_rows == len(values) else values[:n_rows].copy()
 
 
 def load_dataset(path: str | Path, target: SignalId) -> Dataset:
@@ -492,7 +534,9 @@ def coalesce_signals(
     target = dataset.target
     if target in set(sources):
         target = merged
-    return Dataset(tuple(out_signals), np.column_stack(out_cols), target)
+    values = np.column_stack(out_cols)
+    values.flags.writeable = False  # a fresh array, so Dataset need not copy
+    return Dataset(tuple(out_signals), values, target)
 
 
 # --- JSON documents -------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import routeboost.data
 from routeboost import __version__
 from routeboost.cli import main
 from routeboost.data import write_csv
@@ -764,6 +765,14 @@ class TestCsvFieldLimit:
         data.write_text("Y," + "A" * (csv.field_size_limit() + 1) + "\n1,2\n", encoding="utf-8")
         err = one_line_error(main(["analyze", "--data", str(data), "--target", "Y"]), capsys)
         assert err.startswith(f"error: {data}: line 1: field larger than field limit")
+
+    def test_file_grown_while_read_exit_2(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "grown.csv"
+        data.write_text("A,Y\n1,2\n3,4\n", encoding="utf-8")
+        count = routeboost.data._count_lines
+        monkeypatch.setattr(routeboost.data, "_count_lines", lambda fh: count(fh) - 1)
+        err = one_line_error(main(["analyze", "--data", str(data), "--target", "Y"]), capsys)
+        assert err == f"error: {data}: the file changed while it was read\n"
 
 
 def deep_tree_model(depth: int) -> str:

@@ -7,6 +7,8 @@ is cut to 3 records so that files span several blocks and malformed
 records land past the first one.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,16 @@ CASES = {
     "quote, bad cell, over-limit field a block later": (
         f'A,B\n"1",2\n3,x\n5,6\n7,8\n9,{OVER_LIMIT}\n', "line 3, column 'B'"
     ),
+    # A quoted line break makes one record of two lines, so there are
+    # fewer records than lines; no number or name may hold one.
+    "quoted line break in the body": (
+        'A,B\n1,2\n"3\n4",5\n6,7\n', "line 3, column 'A': unparsable number"
+    ),
+    "quoted line break in the header": ('A,"B\nC"\n1,2\n', "contains a comma or newline"),
+    "no line end on the last line": ("A,B\n" + "1,2\n" * 4 + "3,4", None),
+    "lone cr line ends only": ("A,B\r1,2\r3,\r,4\r5,6\r", None),
+    "header only": ("A,B\n", None),
+    "bom and crlf": ("\ufeffA,B\r\n1,2\r\n,3\r\n4,\r\n5,6\r\n", None),
 }
 
 
@@ -141,3 +153,14 @@ def test_quote_free_blocks_and_fallback_match_reference(monkeypatch, tmp_path, c
         assert isinstance(got[0], tuple)
     else:
         assert got[0] is MalformedCsv and error in got[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(["\r", "\n", "\r\n", "1", ","]), max_size=12).map("".join),
+    chunk=st.integers(1, 4),
+)
+def test_line_count_matches_the_text_reader(text, chunk):
+    # Chunks this small put a CRLF across two of them.
+    lines = io.TextIOWrapper(io.BytesIO(text.encode()), newline="").readlines()
+    assert data._count_lines(io.BytesIO(text.encode()), chunk) == len(lines)

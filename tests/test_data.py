@@ -1,9 +1,12 @@
 import csv
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from routeboost import data
 from routeboost.data import (
     Dataset,
     coalesce_signals,
@@ -91,6 +94,39 @@ class TestLoad:
         empty = load_table(write(tmp_path, "A,Y\n", name="empty.csv"))
         assert empty.n_rows == 0
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+    def test_fifo_reads_as_the_file(self, tmp_path):
+        # Two blocks of lines, through a stream that cannot be rewound.
+        path = tmp_path / "plant.csv"
+        write_csv(generate(GenSpec(default_layout(), 5_000, 3)), path)
+        fifo = tmp_path / "plant.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            piped = load_table(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert piped.signals == load_table(path).signals
+        assert piped.values.tobytes() == load_table(path).values.tobytes()
+
+    @pytest.mark.parametrize("first", ["1,2", '"1",2'], ids=["blocks", "csv.reader"])
+    def test_file_grown_after_its_lines_were_counted(self, tmp_path, monkeypatch, first):
+        path = write(tmp_path, f"A,Y\n{first}\n3,4\n")
+        count = data._count_lines
+        monkeypatch.setattr(data, "_count_lines", lambda fh: count(fh) - 1)
+        with pytest.raises(MalformedCsv, match="changed while it was read"):
+            load_table(path)
+
+    def test_file_shrunk_after_its_lines_were_counted(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "A,Y\n1,2\n3,\n")
+        count = data._count_lines
+        monkeypatch.setattr(data, "_count_lines", lambda fh: count(fh) + 1)
+        table = load_table(path)
+        assert table.values.tobytes() == np.array([[1.0, 2.0], [3.0, np.nan]]).tobytes()
+        assert not table.values.flags.writeable
+
 
 class TestRoundTrip:
     def test_write_then_load_is_identical(self, toy6, tmp_path):
@@ -131,20 +167,26 @@ class TestRoundTrip:
 
 class TestCsvMemory:
     """Peak traced allocation of the CSV stages at 40k rows of the default
-    plant, as a multiple of the table's value bytes (4.8 MB).
+    plant, as a multiple of the table's value bytes (4.8 MB), and of
+    load_dataset at 120k rows.
 
     Measured with Python 3.11 and NumPy 2.4, seeds 5 and 6: write_csv
-    0.414 and 0.413, load_dataset 2.006 and 2.001. The reader holds its
-    float blocks and their concatenation at once (2.0); one block of
-    text and its fields stay below that. With the first body line quoted,
-    every record goes through csv.reader: 2.188 and 2.186, and 4.58 when
-    the converted rows are not flushed every block. tracemalloc sees only
-    what goes through Python's and NumPy's allocators.
+    0.414 and 0.413, load_dataset 1.938 and 1.932. The reader fills one
+    array of the table's size, so the rest of its peak is one block of
+    text and its fields, which does not grow with the table: at 120k
+    rows load_dataset reads 1.311. A reader that kept its float blocks
+    and concatenated them read 2.006 and 2.001, and 2.001 at 120k rows.
+    With the first body line quoted, every record goes through
+    csv.reader: 1.742 and 1.741, against 2.188 and 2.186 with the blocks
+    concatenated and 4.58 when the converted rows are not flushed every
+    block. tracemalloc sees only what goes through Python's and NumPy's
+    allocators.
     """
 
     WRITE_PEAK = 0.5
-    LOAD_PEAK = 2.2
-    QUOTED_LOAD_PEAK = 2.5
+    LOAD_PEAK = 2.0
+    QUOTED_LOAD_PEAK = 1.8
+    LARGE_LOAD_PEAK = 1.5
 
     @pytest.fixture(scope="class")
     def plant(self, tmp_path_factory):
@@ -174,6 +216,12 @@ class TestCsvMemory:
         loaded = load_dataset(path, "Y")
         assert np.array_equal(loaded.values, dataset.values, equal_nan=True)
         assert peak_over_values(lambda: load_dataset(path, "Y")) <= self.QUOTED_LOAD_PEAK
+
+    def test_load_dataset_peak_at_120k_rows(self, tmp_path):
+        # Three times the rows: the block's share falls and the table's stays.
+        path = tmp_path / "large.csv"
+        write_csv(generate(GenSpec(default_layout(), 120_000, 5)), path)
+        assert peak_over_values(lambda: load_dataset(path, "Y")) <= self.LARGE_LOAD_PEAK
 
 
 class TestProject:
@@ -286,6 +334,11 @@ class TestImmutability:
         rows = np.arange(0, ds.n_rows, 2)
         assert peak_over_values(lambda: ds.project(ds.signals[1:], rows)) <= 1.5
 
+    def test_columns_are_filled_once(self):
+        column = [None, 1.5, 2.5] * 5_000
+        columns = {f"s{j}": column for j in range(8)}
+        assert peak_over_values(lambda: dataset_from_columns(columns)) <= 1.5
+
 
 class TestCoalesce:
     def build(self, b1, b2):
@@ -338,6 +391,11 @@ class TestCoalesce:
         ds = self.build([1.0], [None])
         with pytest.raises(DuplicateSignal):
             coalesce_signals(ds, "Y", ["B1", "B2"])
+
+    def test_table_is_built_once(self):
+        ds = generate(GenSpec(default_layout(), 40_000, 5))
+        out = peak_over_values(lambda: coalesce_signals(ds, "CAL", ["CAL_1"]))
+        assert out <= 1.5
 
     def test_target_can_be_coalesced(self):
         ds = dataset_from_columns(
