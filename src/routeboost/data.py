@@ -241,9 +241,16 @@ def _parse_cell(field: str, line_no: int, col: str) -> float:
     return value
 
 
-# Records converted (read) or lines formatted (write) per step; bounds the
-# text and Python objects held at once.
-CSV_BLOCK_ROWS = 4096
+# Fields converted (read) or formatted (write) per step; bounds the text
+# and Python objects held at once, whatever the table's width.
+CSV_BLOCK_FIELDS = 16_384
+
+
+def _block_rows(width: int) -> int:
+    """The rows of a CSV block of a ``width``-column table: those holding
+    ``CSV_BLOCK_FIELDS`` fields, and at least one. A row of no column
+    counts as one field."""
+    return max(1, CSV_BLOCK_FIELDS // max(width, 1))
 
 
 def _field_presence(text: str, n_lines: int, width: int) -> np.ndarray | None:
@@ -318,10 +325,11 @@ def _parse_records(
     them on line ``line_no``.
 
     Each record is converted with ``_parse_cell`` as it is read, so the
-    first bad record raises, and the rows are flushed every
-    ``CSV_BLOCK_ROWS`` records.
+    first bad record raises, and the rows are flushed every block of
+    about ``CSV_BLOCK_FIELDS`` fields (``_block_rows`` records).
     """
     width = len(header)
+    block_rows = _block_rows(width)
     rows: list[list[float]] = []
     try:
         for record in reader:
@@ -331,7 +339,7 @@ def _parse_records(
                 )
             rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
             line_no += 1
-            if len(rows) == CSV_BLOCK_ROWS:
+            if len(rows) == block_rows:
                 yield np.array(rows)
                 rows = []
     except csv.Error as exc:
@@ -381,8 +389,9 @@ def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], n
     """The header and the values of the CSV text ``fh`` of ``n_lines`` lines.
 
     A table has at most one row per line after the header, so its values
-    are allocated once. The lines are read in blocks of
-    ``CSV_BLOCK_ROWS``, and ``_split_block`` writes each into its rows.
+    are allocated once. The lines are read in blocks of about
+    ``CSV_BLOCK_FIELDS`` fields (``_block_rows`` lines), and
+    ``_split_block`` writes each into its rows.
     A block it cannot split, and the rest of the file after it, go
     through csv.reader and ``_parse_records`` one record at a time,
     field by field, and each converted block is copied into its rows.
@@ -409,8 +418,8 @@ def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], n
             raise MalformedCsv(f"{path}: the file changed while it was read")
         return values[start:start + n]
 
-    n_rows = 0
-    while lines := list(islice(fh, CSV_BLOCK_ROWS)):
+    n_rows, block_rows = 0, _block_rows(len(header))
+    while lines := list(islice(fh, block_rows)):
         if not _split_block("".join(lines), rows(n_rows, len(lines))):
             reader = csv.reader(chain(lines, fh))
             for block in _parse_records(reader, header, n_rows + 2, path):
@@ -451,9 +460,10 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     Values are formatted with ``repr`` so a reload reproduces them
     bit-for-bit. An infinity, which the reader refuses, raises NonFinite
     naming its row and column before the file is opened. Lines are
-    formatted in blocks of ``CSV_BLOCK_ROWS``: each row gets the line
-    template of its availability pattern, and the block is one ``%``
-    of the joined templates with its present values.
+    formatted in blocks of about ``CSV_BLOCK_FIELDS`` fields
+    (``_block_rows`` lines): each row gets the line template of its
+    availability pattern, and the block is one ``%`` of the joined
+    templates with its present values.
     """
     values, width = dataset.values, len(dataset.signals)
     if np.isinf(values).any():
@@ -470,8 +480,9 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
         if not width:
             fh.write("\n" * dataset.n_rows)
             return
-        for start in range(0, dataset.n_rows, CSV_BLOCK_ROWS):
-            block = values[start:start + CSV_BLOCK_ROWS]
+        block_rows = _block_rows(width)
+        for start in range(0, dataset.n_rows, block_rows):
+            block = values[start:start + block_rows]
             present = block == block  # NaN != NaN
             first, pattern = unique_rows(present)
             templates = [

@@ -54,7 +54,7 @@ def test_write_and_read_match_reference(tmp_path_factory, names, data_):
     folder = tmp_path_factory.mktemp("csv")
     new, old = folder / "new.csv", folder / "old.csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "CSV_BLOCK_ROWS", BLOCK)
+        mp.setattr(data, "_block_rows", lambda width: BLOCK)
         data.write_csv(dataset, new)
         csv_oracle.write_csv(dataset, old)
         assert new.read_bytes() == old.read_bytes()
@@ -95,7 +95,7 @@ def test_read_matches_reference(tmp_path_factory, header, bom, newline, data_):
     path = tmp_path_factory.mktemp("csv") / "in.csv"
     path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "CSV_BLOCK_ROWS", BLOCK)
+        mp.setattr(data, "_block_rows", lambda width: BLOCK)
         got = outcome(data.load_table, path)
     assert got == outcome(csv_oracle.load_table, path)
 
@@ -146,7 +146,7 @@ def test_quote_free_blocks_and_fallback_match_reference(monkeypatch, tmp_path, c
     text, error = CASES[case]
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode("utf-8"))
-    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", BLOCK)
+    monkeypatch.setattr(data, "_block_rows", lambda width: BLOCK)
     got = outcome(data.load_table, path)
     assert got == outcome(csv_oracle.load_table, path)
     if error is None:

@@ -96,7 +96,7 @@ class TestLoad:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
     def test_fifo_reads_as_the_file(self, tmp_path):
-        # Two blocks of lines, through a stream that cannot be rewound.
+        # Five blocks of lines, through a stream that cannot be rewound.
         path = tmp_path / "plant.csv"
         write_csv(generate(GenSpec(default_layout(), 5_000, 3)), path)
         fifo = tmp_path / "plant.fifo"
@@ -164,34 +164,98 @@ class TestRoundTrip:
         csv_oracle.write_csv(ds, old)
         assert new.read_bytes() == old.read_bytes()
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "csv-reader"])
+    def test_budget_below_the_width_cuts_one_row_per_block(self, tmp_path, monkeypatch, quoted):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(7, 5))
+        values[rng.random(values.shape) < 0.3] = np.nan
+        ds = Dataset(tuple(f"s{j}" for j in range(5)), values)
+        monkeypatch.setattr(data, "CSV_BLOCK_FIELDS", 4)
+        # The rows of each block the writer formats and the reader splits
+        # or converts.
+        written, split, converted = [], [], []
+        unique_rows, split_block, parse_records = (
+            data.unique_rows, data._split_block, data._parse_records
+        )
+
+        def spy_unique_rows(mask):
+            written.append(len(mask))
+            return unique_rows(mask)
+
+        def spy_split_block(text, out):
+            split.append(len(out))
+            return split_block(text, out)
+
+        def spy_parse_records(*args):
+            for block in parse_records(*args):
+                converted.append(len(block))
+                yield block
+
+        monkeypatch.setattr(data, "unique_rows", spy_unique_rows)
+        monkeypatch.setattr(data, "_split_block", spy_split_block)
+        monkeypatch.setattr(data, "_parse_records", spy_parse_records)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_csv(ds, new)
+        csv_oracle.write_csv(ds, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert written == [1] * 7
+        if quoted:
+            quote_first_record(new)
+        got = load_table(new)
+        assert got.values.tobytes() == csv_oracle.load_table(new).values.tobytes()
+        assert got.values.tobytes() == values.tobytes()
+        if quoted:
+            assert split == [1] and max(converted) == 1 and sum(converted) == 7
+        else:
+            assert split == [1] * 7 and converted == []
+
+
+def quote_first_record(path):
+    """Quote every field of the first record of the CSV file ``path``, so
+    that every record of the file goes through csv.reader."""
+    header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
+    quoted = ",".join(f'"{field}"' for field in first.split(","))
+    path.write_text(f"{header}\n{quoted}\n{rest}", encoding="utf-8")
+
 
 class TestCsvMemory:
-    """Peak traced allocation of the CSV stages at 40k rows of the default
-    plant, as a multiple of the table's value bytes (4.8 MB), and of
-    load_dataset at 120k rows.
+    """Peak traced allocation of the CSV stages, as a multiple of the
+    table's value bytes: at 40k rows of the default plant (4.8 MB), at
+    120k rows, and on a 3,000 x 300 table with 30% of its cells missing
+    (7.2 MB).
 
-    Measured with Python 3.11 and NumPy 2.4, seeds 5 and 6: write_csv
-    0.414 and 0.413, load_dataset 1.938 and 1.932. The reader fills one
-    array of the table's size, so the rest of its peak is one block of
-    text and its fields, which does not grow with the table: at 120k
-    rows load_dataset reads 1.311. A reader that kept its float blocks
-    and concatenated them read 2.006 and 2.001, and 2.001 at 120k rows.
-    With the first body line quoted, every record goes through
-    csv.reader: 1.742 and 1.741, against 2.188 and 2.186 with the blocks
-    concatenated and 4.58 when the converted rows are not flushed every
+    Measured with Python 3.11 and NumPy 2.4, plant seeds 5 and 6 and
+    wide-table seeds 1 to 3. A block holds about ``CSV_BLOCK_FIELDS``
+    fields at any width, so one set of pins holds for both tables.
+    write_csv reads 0.125 on both. load_dataset reads 1.262 and 1.255,
+    and load_table 1.211 on the wide table: the reader fills one array
+    of the table's size, and the rest of its peak is one block of text
+    and its fields, so at 120k rows it reads 1.086. With the first body
+    line quoted, every record goes through csv.reader: 1.204 and 1.203,
+    and 1.134 on the wide table. Blocks of a fixed 4,096 rows read 0.413
+    (write), 1.938 (load), 1.311 (120k rows) and 1.742 (quoted) on the
+    plant, and 5.35, 12.33 and 6.95 on the wide table, which was one
     block. tracemalloc sees only what goes through Python's and NumPy's
     allocators.
     """
 
-    WRITE_PEAK = 0.5
-    LOAD_PEAK = 2.0
-    QUOTED_LOAD_PEAK = 1.8
-    LARGE_LOAD_PEAK = 1.5
+    WRITE_PEAK = 0.25
+    LOAD_PEAK = 1.4
+    QUOTED_LOAD_PEAK = 1.35
+    LARGE_LOAD_PEAK = 1.2
 
     @pytest.fixture(scope="class")
     def plant(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("memory") / "plant.csv"
         return generate(GenSpec(default_layout(), 40_000, 5)), path
+
+    @pytest.fixture(scope="class")
+    def wide(self, tmp_path_factory):
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(3_000, 300))
+        values[rng.random(values.shape) < 0.3] = np.nan
+        path = tmp_path_factory.mktemp("memory") / "wide.csv"
+        return Dataset(tuple(f"S{j}" for j in range(300)), values), path
 
     def test_write_csv_peak(self, plant):
         dataset, path = plant
@@ -210,9 +274,7 @@ class TestCsvMemory:
     def test_load_dataset_peak_with_a_quote(self, plant):
         dataset, path = plant
         write_csv(dataset, path)
-        header, first, rest = path.read_text(encoding="utf-8").split("\n", 2)
-        quoted = ",".join(f'"{field}"' for field in first.split(","))
-        path.write_text(f"{header}\n{quoted}\n{rest}", encoding="utf-8")
+        quote_first_record(path)
         loaded = load_dataset(path, "Y")
         assert np.array_equal(loaded.values, dataset.values, equal_nan=True)
         assert peak_over_values(lambda: load_dataset(path, "Y")) <= self.QUOTED_LOAD_PEAK
@@ -222,6 +284,28 @@ class TestCsvMemory:
         path = tmp_path / "large.csv"
         write_csv(generate(GenSpec(default_layout(), 120_000, 5)), path)
         assert peak_over_values(lambda: load_dataset(path, "Y")) <= self.LARGE_LOAD_PEAK
+
+    def test_write_csv_peak_of_a_wide_table(self, wide):
+        # Twenty times the plant's columns: a block's share must not grow with width.
+        dataset, path = wide
+
+        def written():
+            write_csv(dataset, path)
+            return dataset
+
+        assert peak_over_values(written) <= self.WRITE_PEAK
+
+    def test_load_table_peak_of_a_wide_table(self, wide):
+        dataset, path = wide
+        write_csv(dataset, path)
+        assert peak_over_values(lambda: load_table(path)) <= self.LOAD_PEAK
+
+    def test_load_table_peak_of_a_wide_table_with_a_quote(self, wide):
+        dataset, path = wide
+        write_csv(dataset, path)
+        quote_first_record(path)
+        assert load_table(path).values.tobytes() == dataset.values.tobytes()
+        assert peak_over_values(lambda: load_table(path)) <= self.QUOTED_LOAD_PEAK
 
 
 class TestProject:

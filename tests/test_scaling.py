@@ -37,17 +37,18 @@ CONSTANT = [
 ]
 
 # Calls per row, (calls at LARGE - calls at SMALL) / (LARGE - SMALL), as
-# measured with Python 3.11 and NumPy 2.4 (300, 34 and 417 calls over
+# measured with Python 3.11 and NumPy 2.4 (300, 210 and 789 calls over
 # the 6,000 rows). generate makes 50 calls per batch of 1,024 rows
 # and none per row: the rows it redraws one at a time call only methods
 # of NumPy's Generator, which the profiler does not report, so
 # REDRAWN_FRACTION pins those rows instead. The CSV stages make a few
-# dozen (write_csv) or a few hundred (load_dataset) calls per block of
-# 4,096 lines and none per line: 0.0057 and 0.0695 calls per row, the
-# same for seeds 5 and 6. The profiler sees neither the repr of each cell inside the
-# writer's one `%` per block nor the float of each field inside the
-# reader's map, so these pins guard only against Python work per line;
-# one call per line reads 1.0 or more.
+# dozen calls per block of 1,092 lines (16,384 fields of the plant's 15
+# columns), load_dataset's text decoder three per 8 KiB it decodes, and
+# none per line: 0.035 and 0.1315 calls per row (0.0057 and 0.0695 in
+# blocks of 4,096 lines). The profiler sees neither the repr of each
+# cell inside the writer's one `%` per block nor the float of each field
+# inside the reader's map, so these pins guard only against Python work
+# per line; one call per line reads 1.0 or more.
 PER_ROW = {"generate": 0.05, "write_csv": 0.05, "load_dataset": 0.15}
 
 # The share of rows generate redraws one at a time: those with a normal
