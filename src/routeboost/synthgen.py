@@ -7,30 +7,21 @@ plus Gaussian noise. Missingness is therefore exactly route-determined,
 the structure that route-aware ensembles exploit.
 
 Randomness is counter-based (Philox; Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011): row i of a dataset with seed s
-reads its own stream, that of ``Generator(Philox(key=(s << 64) | i))``.
-The key words are ``(i, s)``, and since NumPy steps the counter before it
-computes a block, word k of the stream is word k % 4 of the
-Philox4x64-10 block at counter ``(k // 4 + 1, 0, 0, 0)``. A row draws the
-route pick (word 0), then one value per traversed signal in unit order,
-then the target noise; each draw takes one word unless a normal draw
-leaves the ziggurat's fast path.
-
-``generate`` computes these blocks for all rows at once in NumPy uint64
-arithmetic and turns words into draws with NumPy's own formulas: a
-uniform is the word's top 53 bits over 2**53, and a normal is the fast
-path of NumPy's 256-layer ziggurat (Marsaglia and Tsang, J. Stat. Softw.
-2000), whose tables are derived from the installed NumPy at the first
-call. A row with a normal draw off that path (about one in ten rows of
-the default plant) is redrawn by NumPy's own generator, reset to the
-row's stream. The values are therefore exactly those of one generator
-per row, reproducible across platforms, and generating more rows never
-reshuffles earlier ones.
+numbers: as easy as 1, 2, 3", SC 2011). The rows are cut into blocks of
+``_BLOCK_ROWS`` (1,024), and block b of a dataset with seed s draws from
+its own stream, that of ``Generator(Philox(key=(s << 64) | b))``. Each
+block makes the same three full-size calls, whatever the table's length:
+``random(B)`` for the route picks, ``standard_normal((B, n_normal))``
+for the normal columns in column order with the target's noise last,
+and ``random((B, n_uniform))`` for the uniform columns. A row keeps the
+draws of its route's columns and its other cells stay missing. The
+values are therefore reproducible across platforms, depend only on the
+seed and the row's index, and generating more rows never reshuffles
+earlier ones.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -242,251 +233,54 @@ def default_layout(noise_sigma: float | None = None) -> PlantLayout:
 
 
 def _route_draws(layout: PlantLayout, route: Route) -> list[SignalSpec]:
-    """The signals a route's rows draw, in stream order."""
+    """The signals a route's rows draw, in unit order."""
     traversed = set(route.units)
     return [sig for unit in layout.units if unit.name in traversed for sig in unit.signals]
 
 
-def _stream_draws(layout: PlantLayout, route: Route, col_index: Mapping[SignalId, int]):
-    """The route's draws after the route pick, as ``(is_normal, column)`` in
-    stream order: one per traversed signal, then the noise in the target's
-    column."""
-    draws = [
-        (sig.dist[0] == "normal", col_index[sig.name]) for sig in _route_draws(layout, route)
-    ]
-    draws.append((True, col_index[layout.target_rule.target]))
-    return draws
-
-
-def _draw_runs(draws) -> list[list]:
-    """``draws`` as runs ``(is_normal, start, stop)``: a run is a block of
-    adjacent columns whose signals share a kind, so one ``standard_normal``
-    or ``random`` call fills it in place."""
-    runs: list[list] = []
-    for is_normal, col in draws:
-        if runs and runs[-1][0] == is_normal and runs[-1][2] == col:
-            runs[-1][2] = col + 1
-        else:
-            runs.append([is_normal, col, col + 1])
-    return runs
-
-
-# --- Philox4x64-10 and NumPy's ziggurat, across rows ---------------------------
-#
-# Every constant is an np.uint64: NumPy 1.x turns uint64 mixed with a Python
-# int into float64. A Philox round multiplies counter words 0 and 2, so
-# those two are kept as one (2, n) pair, and the multipliers and key
-# increments as (2, 1) columns.
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_PHILOX_ROUNDS = 10
-_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
-_11, _9, _LAYER, _SIGN = np.uint64(11), np.uint64(9), np.uint64(0xFF), np.uint64(0x100)
-_MANTISSA, _ONE = np.uint64(2**52 - 1), np.uint64(1)
-# Philox blocks per batch of rows, at least (``_BATCH_BLOCKS // width``
-# rows): a small table's batches stay large enough that the per-batch
-# NumPy calls do not dominate, whatever the route length.
-_BATCH_BLOCKS = 4096
-# Batches per table, at most: each batch's temporaries are about this
-# fraction of the table's rows, so they stay a fixed share of its values.
-_BATCHES = 10
-
-
-def _philox(keys: np.ndarray, counters, seed: int) -> np.ndarray:
-    """Philox4x64-10 blocks, one per key: ``(4, n)`` uint64 words.
-
-    Element j is the block of key ``(seed << 64) | keys[j]`` (key words
-    ``(keys[j], seed)``) at counter ``(counters[j], 0, 0, 0)``; ``keys``
-    is a uint64 array and ``counters`` uint64 values broadcast to it.
-    ``mulhi`` is summed from 32-bit halves, none of whose partial sums
-    can wrap.
-    """
-    mul, xor, key = np.zeros((3, 2, keys.size), dtype=np.uint64)
-    mul[0] = counters  # counter words 0 and 2; xor holds words 1 and 3
-    key[0], key[1] = keys, seed
-    low, hi, t, u = np.empty((4, 2, keys.size), dtype=np.uint64)
-    for _ in range(_PHILOX_ROUNDS):
-        np.bitwise_and(mul, _LOW32, out=low)
-        np.right_shift(mul, _32, out=hi)
-        np.multiply(low, _M_LO, out=t)
-        t >>= _32
-        np.multiply(hi, _M_LO, out=u)
-        u += t  # a_hi * m_lo + (a_lo * m_lo >> 32)
-        low *= _M_HI
-        low += np.bitwise_and(u, _LOW32, out=t)  # a_lo * m_hi + (u & LOW32)
-        u >>= _32
-        low >>= _32
-        hi *= _M_HI
-        hi += u
-        hi += low  # the high words
-        mul *= _PHILOX_M  # the low words
-        # Words 0..3 become (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0).
-        xor ^= hi[::-1]
-        xor ^= key
-        mul, xor = xor, mul[::-1]
-        key += _PHILOX_W
-    del low, hi, t, u
-    out = np.empty((4, keys.size), dtype=np.uint64)
-    out[0::2], out[1::2] = mul, xor
-    return out
-
-
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """``Generator.random`` of each word: its top 53 bits over 2**53."""
-    return (words >> _11).astype(np.float64) * 2.0**-53
-
-
-@functools.cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """NumPy's 256-layer ziggurat tables ``(wi, ki)`` for ``standard_normal``.
-
-    A word ``w`` picks layer ``idx = w & 0xff``, the sign ``(w >> 8) & 1``
-    and ``rabs = w >> 9`` (52 bits); the draw is ``±rabs * wi[idx]`` and
-    takes the fast path iff ``rabs < ki[idx]`` (Marsaglia and Tsang,
-    J. Stat. Softw. 2000). NumPy does not export its tables, so they are
-    read off the installed ``Generator``: it is fed one word through the
-    Philox buffer, and the draw was fast iff it consumed that word alone.
-    ``wi[idx]`` is the draw for ``rabs`` 1. ``ki[idx]`` is the boundary
-    inside ``{f, f + 1}``, ``f = floor(2**52 * wi[idx - 1] / wi[idx])``
-    (layer 0 reads layer 255); a layer whose boundary is elsewhere, or
-    whose ``rabs`` 1 is not fast, gets ``ki`` 0, so every one of its
-    draws is left to the generator itself.
-    """
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-
-    def draw(idx: int, rabs: int) -> tuple[float, bool]:
-        state["buffer"] = np.array([rabs << 9 | idx, 0, 0, 0], dtype=np.uint64)
-        state["buffer_pos"] = 0
-        bitgen.state = state
-        x = rng.standard_normal()
-        after = bitgen.state
-        return x, after["buffer_pos"] == 1 and after["state"]["counter"][0] == 0
-
-    def fast(idx: int, rabs: int) -> bool:
-        # False beyond 52 bits: a layer fast up to 2**52 - 1 gets ki 2**52.
-        return 0 <= rabs < 2**52 and draw(idx, rabs)[1]
-
-    unit = [draw(idx, 1) for idx in range(256)]
-    wi = np.array([x for x, _ in unit])
-    ki = np.zeros(256, dtype=np.uint64)
-    for idx, (_, one_is_fast) in enumerate(unit):
-        if not one_is_fast:
-            continue  # wi[idx] need not be the bare product
-        f = math.floor(2.0**52 * wi[idx - 1] / wi[idx])
-        if fast(idx, f):
-            if not fast(idx, f + 1):
-                ki[idx] = f + 1
-        elif fast(idx, f - 1):
-            ki[idx] = f
-    wi.flags.writeable = ki.flags.writeable = False  # shared by every caller
-    return wi, ki
-
-
-def _normal(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``standard_normal`` of each word where it takes the ziggurat's fast
-    path: ``(draws, fast)``; a draw is valid only where ``fast`` holds."""
-    wi, ki = _ziggurat()
-    idx = (words & _LAYER).astype(np.intp)
-    rabs = words >> _9
-    rabs &= _MANTISSA
-    x = rabs.astype(np.float64)
-    x *= wi[idx]
-    np.negative(x, out=x, where=(words & _SIGN).astype(bool))
-    return x, rabs < ki[idx]
-
-
-def _draw_fast_rows(seed: int, draws, cum: np.ndarray, values, route_of) -> np.ndarray:
-    """Draw every row's route and raw draws in bulk, and return the rows to
-    redraw: those with a normal draw off the ziggurat's fast path.
-
-    Word k of a row's stream is word k % 4 of its Philox block k // 4 + 1
-    (NumPy steps the counter before it computes a block); the route pick
-    is word 0 and the route's draws are words 1, 2, ...
-
-    The rows are drawn in batches of a tenth of the table, rounded up,
-    and never fewer than ``_BATCH_BLOCKS // width`` rows, where ``width``
-    is the most blocks a row needs. Every block is a function of its row
-    and counter alone, so how the rows are cut changes no bit; the cut
-    follows ``n_rows`` only, and keeps the temporaries a fixed share of
-    the values.
-    """
-    n_rows = route_of.size
-    blocks = np.array([(len(d) + 4) // 4 for d in draws])  # ceil((1 + len(d)) / 4)
-    width = int(blocks.max())
-    # Per route: the word positions and columns of its uniform draws and of
-    # its normal draws.
-    plans = []
-    for d in draws:
-        normal = np.array([is_normal for is_normal, _ in d])
-        pos, cols = np.arange(1, len(d) + 1), np.array([col for _, col in d])
-        plans.append((pos[~normal], cols[~normal], pos[normal], cols[normal]))
-
-    def draw_batch(start: int, stop: int) -> np.ndarray:
-        """Rows start..stop-1; returns those to redraw."""
-        keys = np.arange(start, stop, dtype=np.uint64)
-        words = np.empty((keys.size, width, 4), dtype=np.uint64)
-        words[:, 0] = _philox(keys, _ONE, seed).T
-        route = np.minimum(cum.searchsorted(_uniform(words[:, 0, 0]), "right"), cum.size - 1)
-        route_of[start:stop] = route
-        # Blocks 2 and later of every row, in one evaluation.
-        more = blocks[route] - 1
-        owner = np.arange(keys.size).repeat(more)
-        block = np.arange(owner.size) - (more.cumsum() - more).repeat(more) + 1
-        words[owner, block] = _philox(keys[owner], block.astype(np.uint64) + _ONE, seed).T
-        words = words.reshape(keys.size, -1)
-        rejected = []
-        for r, (uniform_pos, uniform_cols, normal_pos, normal_cols) in enumerate(plans):
-            sel = (route == r).nonzero()[0][:, None]
-            values[start + sel, uniform_cols] = _uniform(words[sel, uniform_pos])
-            x, fast = _normal(words[sel, normal_pos])
-            values[start + sel, normal_cols] = x
-            rejected.append(start + sel[~np.logical_and.reduce(fast, axis=1), 0])
-        return np.concatenate(rejected)
-
-    batch = max(1, _BATCH_BLOCKS // width, -(-n_rows // _BATCHES))
-    return np.concatenate([
-        draw_batch(start, min(start + batch, n_rows)) for start in range(0, n_rows, batch)
-    ])
+# Rows per random stream: block b of a table with seed s draws from
+# ``Generator(Philox(key=(s << 64) | b))``. Part of the stream's definition.
+_BLOCK_ROWS = 1024
 
 
 def generate(spec: GenSpec) -> Dataset:
     """Sample a dataset; fully determined by the layout, n_rows, and seed."""
     layout = spec.layout
     layout.validate()
-    signals = layout.signal_names()
+    signals = [sig for unit in layout.units for sig in unit.signals]
     target = layout.target_rule.target
-    columns = tuple(signals) + (target,)
+    columns = tuple(sig.name for sig in signals) + (target,)
     col_index = {name: j for j, name in enumerate(columns)}
+    t = col_index[target]
+    normal_cols = [j for j, sig in enumerate(signals) if sig.dist[0] == "normal"] + [t]
+    uniform_cols = [j for j, sig in enumerate(signals) if sig.dist[0] == "uniform"]
+    # Per route, the columns its rows get a value in.
+    drawn = np.zeros((len(layout.routes), len(columns)), dtype=bool)
+    for r, route in enumerate(layout.routes):
+        drawn[r, [col_index[sig.name] for sig in _route_draws(layout, route)] + [t]] = True
     cum = np.cumsum([r.probability for r in layout.routes])
-    draws = [_stream_draws(layout, route, col_index) for route in layout.routes]
-    values = np.full((spec.n_rows, len(columns)), np.nan)
+    values = np.empty((spec.n_rows, len(columns)))
     route_of = np.empty(spec.n_rows, dtype=np.intp)
-    rejected = _draw_fast_rows(spec.seed, draws, cum, values, route_of)
-
-    # The rejected rows, one at a time: one Philox stream per row, keyed
-    # (seed << 64) | row with counter 0. Resetting a single bit generator
-    # to that state replaces building one.
-    bitgen = np.random.Philox(key=0)
-    fresh = bitgen.state
-    fresh["state"]["key"][1] = spec.seed
-    rng = np.random.Generator(bitgen)
-    runs = [_draw_runs(d) for d in draws]
-    for i in rejected.tolist():
-        fresh["state"]["key"][0] = i
-        bitgen.state = fresh
-        rng.random()  # the route pick, already known
-        for is_normal, start, stop in runs[route_of[i]]:
-            draw = rng.standard_normal if is_normal else rng.random
-            draw(out=values[i, start:stop])
+    for b, start in enumerate(range(0, spec.n_rows, _BLOCK_ROWS)):
+        # Every block makes the same three full-size draws, so a row's values
+        # depend on its seed and index alone.
+        rng = np.random.Generator(np.random.Philox(key=(spec.seed << 64) | b))
+        picks = rng.random(_BLOCK_ROWS)
+        normals = rng.standard_normal((_BLOCK_ROWS, len(normal_cols)))
+        uniforms = rng.random((_BLOCK_ROWS, len(uniform_cols)))
+        stop = min(start + _BLOCK_ROWS, spec.n_rows)
+        n = stop - start
+        picked = np.minimum(cum.searchsorted(picks[:n], "right"), cum.size - 1)
+        route_of[start:stop] = picked
+        block = values[start:stop]
+        block[:, normal_cols] = normals[:n]
+        block[:, uniform_cols] = uniforms[:n]
+        block[~drawn[picked]] = np.nan
 
     # Turn the raw draws into values and the target, route by route, with
     # the same operations in the same order as a row-at-a-time sum.
     rule = layout.target_rule
     coeffs = rule.coefficients
-    t = col_index[target]
     with np.errstate(over="ignore", invalid="ignore"):
         for r, route in enumerate(layout.routes):
             rows = np.flatnonzero(route_of == r)
@@ -505,9 +299,7 @@ def generate(spec: GenSpec) -> Dataset:
     overflowed = np.flatnonzero(~np.isfinite(values[:, t]))
     if overflowed.size:
         i = int(overflowed[0])
-        route = layout.routes[route_of[i]]
-        drawn = [col_index[sig.name] for sig in _route_draws(layout, route)] + [t]
-        j = min(k for k in drawn if not math.isfinite(values[i, k]))
+        j = int(np.flatnonzero(drawn[route_of[i]] & ~np.isfinite(values[i]))[0])
         raise NonFinite(
             f"row {i}, column {columns[j]!r}: the generated value {values[i, j]} "
             "is not finite; the layout's numbers overflow float64"

@@ -902,7 +902,7 @@ class TestOverflow:
         out = tmp_path / "plant.csv"
         argv = ["generate", "--out", str(out), "--rows", "200", "--seed", "1", "--layout", str(layout)]
         assert one_line_error(main(argv), capsys, expected=1) == (
-            "error: row 21, column 'DES_1': the generated value -inf is not finite; "
+            "error: row 49, column 'DES_1': the generated value inf is not finite; "
             "the layout's numbers overflow float64\n"
         )
         assert not out.exists()

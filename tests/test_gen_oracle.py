@@ -1,14 +1,21 @@
-"""The batched generator against the row-at-a-time reference.
+"""The block generator against the row-at-a-time reference, and the
+stream it documents.
 
 ``synthgen.generate`` must give exactly the values (compared as bytes)
-of ``tests/gen_oracle.py``, which builds one Philox generator per row
-and draws, scales and sums one signal at a time.
+of ``tests/gen_oracle.py``, which builds one Philox generator per block
+of rows and scales and sums each row one signal at a time.
 """
 
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from routeboost.synthgen import (
+    _BLOCK_ROWS,
     GenSpec,
     PlantLayout,
     Route,
@@ -17,6 +24,7 @@ from routeboost.synthgen import (
     Unit,
     default_layout,
     generate,
+    route_of_row,
 )
 from tests import gen_oracle
 
@@ -78,7 +86,7 @@ ZERO_TERMS = PlantLayout(
 )
 
 
-# One route of 33 draws after the route pick: 34 words, 9 Philox blocks.
+# One route of 33 draws: 26 normal columns with the noise, 7 uniform.
 LONG_ROUTE = PlantLayout(
     (
         Unit("a", tuple(
@@ -91,11 +99,6 @@ LONG_ROUTE = PlantLayout(
     TargetRule("Y", 1.0, {f"a{k}": 0.1 * k for k in range(31)}, 0.5),
 )
 
-# Among the first 300 rows of the default plant with this seed, normal
-# draws leave the ziggurat's fast path both into its tail (layer 0) and
-# into a wedge (any other layer).
-TAIL_AND_WEDGE_SEED = 8
-
 
 @settings(max_examples=120, deadline=None)
 @given(
@@ -105,11 +108,54 @@ TAIL_AND_WEDGE_SEED = 8
 )
 @example(layout=UNIFORM_FIRST_AND_LAST, n_rows=300, seed=2**64 - 1)
 @example(layout=ZERO_TERMS, n_rows=50, seed=3)
-@example(layout=default_layout(), n_rows=300, seed=0)
-@example(layout=LONG_ROUTE, n_rows=1000, seed=2**64 - 1)
-@example(layout=default_layout(), n_rows=300, seed=TAIL_AND_WEDGE_SEED)
+@example(layout=LONG_ROUTE, n_rows=2 * _BLOCK_ROWS + 1, seed=2**64 - 1)
+@example(layout=default_layout(), n_rows=1, seed=0)
+@example(layout=default_layout(), n_rows=_BLOCK_ROWS - 1, seed=1)
+@example(layout=default_layout(), n_rows=_BLOCK_ROWS, seed=2)
+@example(layout=default_layout(), n_rows=_BLOCK_ROWS + 1, seed=3)
+@example(layout=default_layout(), n_rows=10_000, seed=42)
+@example(layout=default_layout(), n_rows=50_000, seed=0)
 def test_generate_matches_reference(layout, n_rows, seed):
     spec = GenSpec(layout, n_rows, seed)
     got, want = generate(spec), gen_oracle.generate(spec)
     assert got.signals == want.signals and got.target == want.target
     assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_blocks_draw_from_numpys_philox(seed):
+    """Row b * _BLOCK_ROWS opens block b, which draws from
+    ``Generator(Philox(key=(seed << 64) | b))``: the route pick, then its
+    row of standard normals (the default plant's normals are N(0, 1), so
+    a value is its draw)."""
+    layout = default_layout()
+    dataset = generate(GenSpec(layout, 2 * _BLOCK_ROWS, seed))
+    cum = np.cumsum([r.probability for r in layout.routes])
+    normal = [c for c in dataset.signals if c not in ("DES_2", "Y")]
+    for b in (0, 1):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | b))
+        pick = rng.random()
+        rng.random(_BLOCK_ROWS - 1)  # the block's other route picks
+        draws = dict(zip(normal, rng.standard_normal(len(normal)).tolist()))
+        route = layout.routes[int(np.searchsorted(cum, pick, side="right"))]
+        row = dataset.row_values(b * _BLOCK_ROWS)
+        assert route_of_row(layout, dataset, b * _BLOCK_ROWS) == route
+        assert {c: v for c, v in row.items() if c in normal} == {
+            c: draws[c] for c in layout.route_signals(route) if c in normal
+        }
+
+
+def state_reads(source: str) -> list[int]:
+    """Line numbers of every ``.state`` attribute in ``source``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "state"
+    ]
+
+
+def test_generator_state_is_never_touched():
+    """The generator uses NumPy's public draws only: no bit generator's
+    ``state`` is read or written."""
+    assert state_reads("bitgen.state = s\nx = rng.bit_generator.state['state']\n") == [1, 2]
+    path = Path(__file__).resolve().parent.parent / "src" / "routeboost" / "synthgen.py"
+    assert state_reads(path.read_text(encoding="utf-8")) == []

@@ -22,14 +22,14 @@ from routeboost.synthgen import GenSpec, default_layout, generate
         (
             10_000,
             42,
-            "cb1f36556adc52fa16df867504538a0048b3df1f567a111bad604770b8804028",
-            "50486be80c205eaae061f8ced077a6d2e3742878e10b0c562e4557513df55006",
+            "db845e612ae3ff05e11efb74d7f5774863581bb367a5fb32d67cb53d21eb5450",
+            "24bf8beafec361c0f3860e8c8de21f591425eb725f663a8cc64f8aeca50cc32e",
         ),
         (
             50_000,
             0,
-            "a5f24fc0d99982739c84b1e7aacd0ab9aa3ec80e37c137a255ed9641c66bb0da",
-            "71fc10eb02c48e62c2e555ceeab1619b60b1667daee37a88fb7761e62eff4e5c",
+            "2dffcaf7150fff2cc884ef08e1442daa0b4b6c8c137d61d79a9e3a5d1f50f873",
+            "62cc6a284007ecc2da7a5c7f36396220d47cccb5be2d2310cd46b64de83ce962",
         ),
     ],
     ids=["10k-seed42", "50k-seed0"],
@@ -50,5 +50,5 @@ def test_tree_model_digest(tmp_path):
          "--model-out", str(model)]
     ) == 0
     assert hashlib.sha256(model.read_bytes()).hexdigest() == (
-        "7da19fb7ae0d96f838907930b4e6eb610219318db3736b7e4e2b95605d93a09c"
+        "11cc88ae5096d57db1989aa9625686acc4bd7d152fedd8d0084536ca53aef122"
     )

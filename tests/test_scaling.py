@@ -6,11 +6,10 @@ works column by column makes the same number of calls at both sizes.
 Tree training varies only with the shape of the fitted trees. The three
 stages that still loop over rows, or over batches of rows, are pinned at
 their calls per row, so that number can only fall. So is the one-row
-scoring path, ``predict_with_members``, at its calls per scored row, and
-generate's one-at-a-time redraw, which the profiler cannot see, at the
-share of rows it redraws. Training a nested chain of routes may score
-each member at most once, whatever the chain's length, and the
-missingness summaries of one table may sort its mask at most once.
+scoring path, ``predict_with_members``, at its calls per scored row.
+Training a nested chain of routes may score each member at most once,
+whatever the chain's length, and the missingness summaries of one table
+may sort its mask at most once.
 """
 
 import gc
@@ -18,7 +17,6 @@ import sys
 
 import pytest
 
-from routeboost import synthgen
 from routeboost.analysis import infer_signal_groups, pattern_summary, route_frequencies
 from routeboost.benchmark import train_proposed
 from routeboost.data import load_dataset, write_csv
@@ -37,26 +35,19 @@ CONSTANT = [
 ]
 
 # Calls per row, (calls at LARGE - calls at SMALL) / (LARGE - SMALL), as
-# measured with Python 3.11 and NumPy 2.4 (300, 210 and 789 calls over
-# the 6,000 rows). generate makes 50 calls per batch of 1,024 rows
-# and none per row: the rows it redraws one at a time call only methods
-# of NumPy's Generator, which the profiler does not report, so
-# REDRAWN_FRACTION pins those rows instead. The CSV stages make a few
-# dozen calls per block of 1,092 lines (16,384 fields of the plant's 15
-# columns), load_dataset's text decoder three per 8 KiB it decodes, and
-# none per line: 0.035 and 0.1315 calls per row (0.0057 and 0.0695 in
-# blocks of 4,096 lines). The profiler sees neither the repr of each
-# cell inside the writer's one `%` per block nor the float of each field
-# inside the reader's map, so these pins guard only against Python work
-# per line; one call per line reads 1.0 or more.
-PER_ROW = {"generate": 0.05, "write_csv": 0.05, "load_dataset": 0.15}
-
-# The share of rows generate redraws one at a time: those with a normal
-# draw off the fast path of NumPy's ziggurat. Measured on the default
-# plant: 10.60% (2,000 rows, seed 5), 10.51% and 10.64% (8,000 rows,
-# seeds 5 and 6), 10.38% (50,000 rows, seed 5). The pin leaves 1.4
-# points; redrawing every row reads 100%.
-REDRAWN_FRACTION = 0.12
+# measured with Python 3.11 and NumPy 2.4 (66, 210 and 789 calls over
+# the 6,000 rows). generate makes 11 calls per block of 1,024 rows, each
+# drawn by its own Generator, and none per row: 0.011 calls per row, and
+# its pin leaves about 4 calls per block for other NumPy versions. The
+# CSV stages make a few dozen calls per block of 1,092 lines (16,384
+# fields of the plant's 15 columns), load_dataset's text decoder three
+# per 8 KiB it decodes, and none per line: 0.035 and 0.1315 calls per
+# row (0.0057 and 0.0695 in blocks of 4,096 lines). The profiler sees
+# neither the repr of each cell inside the writer's one `%` per block
+# nor the float of each field inside the reader's map, so these pins
+# guard only against Python work per line; one call per line reads 1.0
+# or more.
+PER_ROW = {"generate": 0.015, "write_csv": 0.05, "load_dataset": 0.15}
 
 # Calls per scored row of predict_with_members over every row of the
 # table, as measured with Python 3.11 at 2,000 and 8,000 rows: 8.16 and
@@ -216,23 +207,6 @@ def test_one_row_scoring_calls_are_pinned(counts, model):
     for sized in counts:
         per_row = sized[f"{model}_score"] / sized[f"{model}_scored"]
         assert per_row <= SCORE_CALLS_PER_ROW[model]
-
-
-@pytest.mark.parametrize("n_rows,seed", [(SMALL, 5), (LARGE, 5), (LARGE, 6), (50_000, 5)])
-def test_generate_redraws_few_rows(monkeypatch, n_rows, seed):
-    """``synthgen._draw_fast_rows`` returns the rows generate redraws."""
-    draw_fast_rows = synthgen._draw_fast_rows
-    redrawn = []
-
-    def recorded(*args):
-        rows = draw_fast_rows(*args)
-        redrawn.append(rows.size)
-        return rows
-
-    monkeypatch.setattr(synthgen, "_draw_fast_rows", recorded)
-    generate(GenSpec(default_layout(), n_rows, seed))
-    assert len(redrawn) == 1
-    assert redrawn[0] / n_rows <= REDRAWN_FRACTION
 
 
 @pytest.mark.parametrize("kind", ["ridge", "tree"])

@@ -1,9 +1,6 @@
-import hashlib
-
 import numpy as np
 import pytest
 
-from routeboost import synthgen
 from routeboost.analysis import SignalGroup, route_frequencies
 from routeboost.data import write_csv
 from routeboost.errors import InvalidLayout, NonFinite
@@ -76,8 +73,6 @@ class TestGenerate:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_values_are_allocated_once(self):
-        # At 60,000 rows each batch is a tenth of the table, not the
-        # _BATCH_BLOCKS floor that 10,000 rows use.
         for n_rows in (10_000, 60_000):
             spec = GenSpec(default_layout(), n_rows, 0)
             assert peak_over_values(lambda: generate(spec)) <= 1.5
@@ -86,11 +81,11 @@ class TestGenerate:
         "edit, cell",
         [
             (lambda d: d["units"][0]["signals"][0].update(dist=["normal", 1e308, 1e308]),
-             "row 21, column 'DES_1'"),
+             "row 49, column 'DES_1'"),
             (lambda d: d["units"][0]["signals"][1].update(dist=["uniform", -1e308, 1e308]),
              "row 0, column 'DES_2'"),
             (lambda d: d["target_rule"]["coefficients"].update(PLTCM_1=1e308),
-             "row 4, column 'Y'"),
+             "row 15, column 'Y'"),
         ],
         ids=["signal", "uniform", "coefficient"],
     )
@@ -104,20 +99,13 @@ class TestGenerate:
 
     def test_row_substreams_stable_under_row_count(self):
         layout = default_layout()
-        # 30,000 rows are drawn in batches of a tenth of the table, 10,000
-        # in batches of _BATCH_BLOCKS blocks: the cuts differ.
-        for n_small, n_large in [(50, 120), (10_000, 30_000)]:
+        # Tables that end at, just before and just after the edges of the
+        # 1,024-row blocks, and 10,000 rows inside a block that 30,000 fill.
+        edges = [1, 1_023, 1_024, 1_025, 2_049, 3_000]
+        for n_small, n_large in [(50, 120), (10_000, 30_000)] + [(n, 5_000) for n in edges]:
             small = generate(GenSpec(layout, n_small, 7))
             large = generate(GenSpec(layout, n_large, 7))
-            assert np.array_equal(
-                small.values, large.values[:n_small], equal_nan=True
-            )
-
-    def test_batch_size_moves_no_bit(self, monkeypatch):
-        spec = GenSpec(default_layout(), 3_000, 11)
-        want = hashlib.sha256(generate(spec).values.tobytes()).hexdigest()
-        monkeypatch.setattr(synthgen, "_BATCH_BLOCKS", 64)
-        assert hashlib.sha256(generate(spec).values.tobytes()).hexdigest() == want
+            assert small.values.tobytes() == large.values[:n_small].tobytes(), n_small
 
     def test_availability_equals_route_signals(self):
         layout = default_layout()
