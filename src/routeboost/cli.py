@@ -99,44 +99,36 @@ def _strata_from_manifest(manifest) -> list[SubsetSpec]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, vars(args))
     dataset = _load_input(config)
-    patterns = pattern_summary(dataset)
     groups = resolve_groups(dataset, config.groups)
-    always = always_available_signals(dataset)
-    routes = route_frequencies(dataset, groups)
+    report = {
+        "n_rows": dataset.n_rows,
+        "signals": list(dataset.signals),
+        "target": dataset.target,
+        "patterns": [
+            {"signals": sorted(p.present), "count": p.count}
+            for p in pattern_summary(dataset)
+        ],
+        "groups": [{"name": g.name, "members": list(g.members)} for g in groups],
+        "always_available": sorted(always_available_signals(dataset)),
+        "routes": [
+            {"groups": sorted(r.groups_present), "count": r.count}
+            for r in route_frequencies(dataset, groups)
+        ],
+    }
 
-    print(f"rows: {dataset.n_rows}  signals: {len(dataset.signals)}")
+    print(f"rows: {report['n_rows']}  signals: {len(report['signals'])}")
     print("\navailability patterns (count desc):")
-    for p in patterns:
-        print(f"  {p.count:>7}  {{{', '.join(sorted(p.present))}}}")
+    for p in report["patterns"]:
+        print(f"  {p['count']:>7}  {{{', '.join(p['signals'])}}}")
     print("\nsignal groups:")
-    for g in groups:
-        print(f"  {g.name}: {', '.join(g.members)}")
-    print(f"\nalways available: {{{', '.join(sorted(always))}}}")
+    for g in report["groups"]:
+        print(f"  {g['name']}: {', '.join(g['members'])}")
+    print(f"\nalways available: {{{', '.join(report['always_available'])}}}")
     print("\nroute frequencies (count desc):")
-    for r in routes:
-        label = ", ".join(sorted(r.groups_present)) or "<none>"
-        print(f"  {r.count:>7}  {{{label}}}")
-
+    for r in report["routes"]:
+        print(f"  {r['count']:>7}  {{{', '.join(r['groups']) or '<none>'}}}")
     if config.report_out:
-        write_json(
-            config.report_out,
-            {
-                "n_rows": dataset.n_rows,
-                "signals": list(dataset.signals),
-                "target": dataset.target,
-                "patterns": [
-                    {"signals": sorted(p.present), "count": p.count} for p in patterns
-                ],
-                "groups": [
-                    {"name": g.name, "members": list(g.members)} for g in groups
-                ],
-                "always_available": sorted(always),
-                "routes": [
-                    {"groups": sorted(r.groups_present), "count": r.count}
-                    for r in routes
-                ],
-            },
-        )
+        write_json(config.report_out, report)
     return 0
 
 
@@ -179,7 +171,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     config = load_run_config(args.config, vars(args))
     model = load_model(args.model)
-    config.target = config.target or model.target
     table = _load_input(config, need_target=False)
     out = config.predictions_out
     if not out:

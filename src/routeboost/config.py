@@ -89,6 +89,7 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        self.strategy_options()
         self.learner_config()
 
 

@@ -51,6 +51,18 @@ def _check_signal_name(name: str) -> str:
     return name
 
 
+def read_only_array(value) -> np.ndarray:
+    """``value`` as a read-only float64 array: the caller's own if it is
+    read-only and owns its memory (``base is None``), the one ``np.asarray``
+    made of a list, tuple or array of another dtype, else a copy."""
+    array = np.asarray(value, dtype=np.float64)
+    fresh = array is not value and isinstance(value, (list, tuple, np.ndarray))
+    if array.base is not None or (array.flags.writeable and not fresh):
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class AvailabilityPattern:
     """A distinct set of present signals and how many rows exhibit it."""
@@ -74,7 +86,7 @@ class Dataset:
     target: SignalId | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = read_only_array(self.values)
         if values.ndim != 2 or values.shape[1] != len(self.signals):
             raise ValueError("values must be a 2-D array with one column per signal")
         if len(set(self.signals)) != len(self.signals):
@@ -83,8 +95,6 @@ class Dataset:
             _check_signal_name(name)
         if self.target is not None and self.target not in self.signals:
             raise UnknownTarget(f"target {self.target!r} is not a signal")
-        values = values.copy() if values.flags.writeable else values
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "signals", tuple(self.signals))
 
@@ -512,42 +522,32 @@ def coalesce_signals(
         raise ValueError("coalesce needs at least one source signal")
     _check_signal_name(merged)
     src_idx = [dataset.index(s) for s in sources]
-    survivors = [s for s in dataset.signals if s not in set(sources)]
-    if merged in survivors:
+    source_set = set(sources)
+    kept = [j for j, s in enumerate(dataset.signals) if s not in source_set]
+    signals = [dataset.signals[j] for j in kept]
+    if merged in signals:
         raise DuplicateSignal(f"merged signal {merged!r} already exists")
 
     block = dataset.values[:, src_idx]
-    present = dataset.availability_mask()[:, src_idx]
-    spread = np.where(present, block, -np.inf).max(axis=1) - np.where(
-        present, block, np.inf
-    ).min(axis=1)
-    conflicts = np.flatnonzero((present.sum(axis=1) > 1) & (spread > COALESCE_TOLERANCE))
+    # fmax and fmin skip NaN: a row with one present source has no spread,
+    # and a row with none a NaN spread; neither is a conflict.
+    spread = np.fmax.reduce(block, axis=1) - np.fmin.reduce(block, axis=1)
+    conflicts = np.flatnonzero(spread > COALESCE_TOLERANCE)
     if conflicts.size:
         row = conflicts[0]
-        vals = block[row, present[row]]
+        vals = block[row, ~np.isnan(block[row])]
         raise CoalesceConflict(
             f"row {row}: sources {list(sources)} disagree ({vals.tolist()})"
         )
-    fused = np.full(dataset.n_rows, np.nan)
-    for j in reversed(range(len(src_idx))):
-        fused = np.where(present[:, j], block[:, j], fused)
+    # The first present source, or a NaN source cell where none is present.
+    fused = block[np.arange(dataset.n_rows), (~np.isnan(block)).argmax(axis=1)]
 
-    out_signals: list[SignalId] = []
-    out_cols: list[np.ndarray] = []
-    first_pos = min(src_idx)
-    for j, name in enumerate(dataset.signals):
-        if j == first_pos:
-            out_signals.append(merged)
-            out_cols.append(fused)
-        if name not in set(sources):
-            out_signals.append(name)
-            out_cols.append(dataset.values[:, j])
-    target = dataset.target
-    if target in set(sources):
-        target = merged
-    values = np.column_stack(out_cols)
+    at = sum(j < min(src_idx) for j in kept)  # the merged column's place
+    columns = [dataset.values[:, j] for j in kept]
+    values = np.column_stack(columns[:at] + [fused] + columns[at:])
     values.flags.writeable = False  # a fresh array, so Dataset need not copy
-    return Dataset(tuple(out_signals), values, target)
+    target = merged if dataset.target in source_set else dataset.target
+    return Dataset((*signals[:at], merged, *signals[at:]), values, target)
 
 
 # --- JSON documents -------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .data import integer, number, signal_names
+from .data import integer, number, read_only_array, signal_names
 from .errors import ArityMismatch, EmptyTrainingSet, NonFinite, SingularSystem
 
 LEARNER_KINDS = ("mean", "ridge", "tree")
@@ -119,9 +119,9 @@ class RidgeLearner:
     kind = "ridge"
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        w = w.copy() if w.flags.writeable else w
-        w.flags.writeable = False
+        w = read_only_array(self.weights)
+        if w.shape != (len(self.features),):
+            raise ValueError(f"{w.size} weights for {len(self.features)} features")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
 
@@ -152,6 +152,12 @@ class TreeLearner:
     features: tuple[str, ...]
     root: TreeNode
     kind = "tree"
+
+    def __post_init__(self) -> None:
+        n = len(self.features)
+        for node in _nodes(self.root):
+            if isinstance(node, Split) and node.feature not in range(n):
+                raise ValueError(f"tree splits on feature {node.feature} of {n}")
 
     def predict_one(self, x: Sequence[float]) -> float:
         return self._score_row(_check_arity(x, self.features).tolist())
@@ -478,10 +484,11 @@ def _from_preorder(preorder: list) -> TreeNode:
 # Floats are emitted via repr (shortest round-trip form), so save/load is
 # lossless for 64-bit values.
 
-def _tree_from_dict(params: dict, n_features: int) -> TreeNode:
+def _tree_from_dict(params: dict) -> TreeNode:
     """The tree of ``params["root"]``, read in preorder from an explicit
     stack; reading stops at a split below ``MAX_TREE_DEPTH`` and at a
-    node document met a second time, which would be read once per path."""
+    node document met a second time, which would be read once per path.
+    ``TreeLearner`` checks that each split's feature exists."""
     preorder: list = []
     read: set[int] = set()  # ids of the node documents read so far
     # (parent document, key, splits above); a node is looked up when it
@@ -501,10 +508,9 @@ def _tree_from_dict(params: dict, n_features: int) -> TreeNode:
             continue
         if depth == MAX_TREE_DEPTH:
             raise ValueError(f"tree is deeper than {MAX_TREE_DEPTH} levels")
-        feature = integer(d["feature"], "feature")
-        if feature not in range(n_features):
-            raise ValueError(f"tree splits on feature {feature} of {n_features}")
-        preorder.append((feature, number(d["threshold"], "threshold")))
+        preorder.append(
+            (integer(d["feature"], "feature"), number(d["threshold"], "threshold"))
+        )
         stack += [(d, "right", depth + 1), (d, "left", depth + 1)]
     return _from_preorder(preorder)
 
@@ -563,10 +569,8 @@ def learner_from_dict(d: dict) -> FittedLearner:
         if not isinstance(params["weights"], list):
             raise TypeError(f"weights must be a list, got {params['weights']!r}")
         weights = [number(w, "weight") for w in params["weights"]]
-        if len(weights) != len(features):
-            raise ValueError(f"{len(weights)} weights for {len(features)} features")
         return RidgeLearner(features, number(params["intercept"], "intercept"), weights)
     if kind == "tree":
-        return TreeLearner(features, _tree_from_dict(params, len(features)))
+        return TreeLearner(features, _tree_from_dict(params))
     raise ValueError(f"unknown learner kind {kind!r}")
 

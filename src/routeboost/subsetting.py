@@ -102,6 +102,13 @@ def subsets_by_grouped_signals(
     return specs
 
 
+def _check_route_options(min_support: float, uncommon_policy: str) -> None:
+    if uncommon_policy not in ("drop", "merge_common"):
+        raise ConfigError(f"unknown uncommon_policy {uncommon_policy!r}")
+    if not 0.0 < min_support <= 1.0:
+        raise ConfigError(f"min_support must be in (0, 1], got {min_support}")
+
+
 def subsets_by_common_routes(
     dataset: Dataset,
     groups: Sequence[SignalGroup],
@@ -122,8 +129,7 @@ def subsets_by_common_routes(
     ``merge_common`` adds one extra spec over the intersection of their
     present signals when that intersection is non-empty.
     """
-    if uncommon_policy not in ("drop", "merge_common"):
-        raise ConfigError(f"unknown uncommon_policy {uncommon_policy!r}")
+    _check_route_options(min_support, uncommon_policy)
     check_groups(dataset, groups)
     by_name = {g.name: g for g in groups}
 
@@ -144,8 +150,6 @@ def subsets_by_common_routes(
                 raise EmptySegment(f"segment {seg.name!r} covers no feature signals")
             specs.append(SubsetSpec(seg.name, _ordered_features(dataset, feats)))
     else:
-        if not 0.0 < min_support <= 1.0:
-            raise ConfigError(f"min_support must be in (0, 1], got {min_support}")
         routes = route_frequencies(dataset, groups)
         threshold = min_support * dataset.n_rows
         for route in routes:
@@ -233,7 +237,7 @@ def validate_nested_chain(specs: Sequence[SubsetSpec]) -> list[SubsetSpec]:
 
 @dataclass(frozen=True)
 class StrategyOptions:
-    """Subsetting choices as they arrive from the CLI or a config file."""
+    """Subsetting choices from the CLI or a config file, checked when built."""
 
     strategy: str = "grouped"  # grouped | routes | auto
     groups: Mapping[str, Sequence[SignalId]] | None = None
@@ -241,6 +245,11 @@ class StrategyOptions:
     include_base_signals: bool = True
     min_support: float = 0.05
     uncommon_policy: str = "drop"
+
+    def __post_init__(self) -> None:
+        if self.strategy not in ("grouped", "routes", "auto"):
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        _check_route_options(self.min_support, self.uncommon_policy)
 
 
 def resolve_groups(
@@ -261,23 +270,17 @@ def build_subset_specs(
         specs = subsets_by_grouped_signals(
             dataset, groups, include_base_signals=options.include_base_signals
         )
-    elif options.strategy == "routes":
+        return specs, groups
+    segments = None  # "auto": derived from the route frequencies
+    if options.strategy == "routes":
         if not options.segments:
             raise ConfigError("strategy 'routes' needs route segments")
-        segments = [
-            RouteSegment(name, tuple(gs)) for name, gs in options.segments.items()
-        ]
-        specs = subsets_by_common_routes(
-            dataset, groups, segments, uncommon_policy=options.uncommon_policy
-        )
-    elif options.strategy == "auto":
-        specs = subsets_by_common_routes(
-            dataset,
-            groups,
-            None,
-            min_support=options.min_support,
-            uncommon_policy=options.uncommon_policy,
-        )
-    else:
-        raise ConfigError(f"unknown strategy {options.strategy!r}")
+        try:
+            segments = [RouteSegment(n, tuple(gs)) for n, gs in options.segments.items()]
+        except ValueError as exc:  # a segment repeats a group
+            raise ConfigError(str(exc)) from None
+    specs = subsets_by_common_routes(
+        dataset, groups, segments, min_support=options.min_support,
+        uncommon_policy=options.uncommon_policy,
+    )
     return specs, groups

@@ -181,7 +181,7 @@ DEFAULT_NOISE_SIGMA = 1.55
 _UNIT3 = math.sqrt(3.0)  # half-width of a variance-1 uniform
 
 
-def default_layout(noise_sigma: float | None = None) -> PlantLayout:
+def default_layout() -> PlantLayout:
     """Steel-line style layout: 7 units, 2 signals each, 3 routes.
 
     Routes: narrow (PLTCM, CAL) probability 0.5, balanced (HSM1, PLTCM,
@@ -190,8 +190,6 @@ def default_layout(noise_sigma: float | None = None) -> PlantLayout:
     target coefficient, with enough weight upstream that items on the
     wide route are strictly more predictable.
     """
-    if noise_sigma is None:
-        noise_sigma = DEFAULT_NOISE_SIGMA
 
     def normal(name: str) -> SignalSpec:
         return SignalSpec(name, ("normal", 0.0, 1.0))
@@ -226,7 +224,7 @@ def default_layout(noise_sigma: float | None = None) -> PlantLayout:
         "CAL_1": 0.9,
         "CAL_2": 0.7,
     }
-    rule = TargetRule("Y", 5.0, coefficients, noise_sigma)
+    rule = TargetRule("Y", 5.0, coefficients, DEFAULT_NOISE_SIGMA)
     layout = PlantLayout(units, routes, rule)
     layout.validate()
     return layout

@@ -939,3 +939,161 @@ def test_internal_error_exit_3(toy6_csv, monkeypatch, capsys):
     code = main(["analyze", "--data", toy6_csv, "--target", "Y"])
     err = one_line_error(code, capsys, expected=3)
     assert err == "error: internal error (ZeroDivisionError): division by zero\n"
+
+
+def ridge_member(weights):
+    return member_with("ridge", {"intercept": 0.0, "weights": weights})
+
+
+ROUTES = {"strategy": "routes", "groups": {"GA": ["A"], "GY": ["Y"]}}
+TOY_ARGS = ["--data", "{data}", "--target", "Y"]
+CONFIG_ARGS = ["--config", "{config}", *TOY_ARGS]
+PREDICT = ["predict", "--data", "{data}", "--model", "{model}", "--out", "{out}"]
+GENERATE = ["generate", "--out", "{out}", "--layout", "{layout}"]
+# Each case reaches one check of a setting, path or document that the
+# other tests leave out: (argv, documents, exit code, stderr line). In
+# argv and the message, {data} is the toy6 CSV, {out} an output path and
+# {config}, {model}, {layout} or {strata} the file that holds that
+# document. A bad strategy or uncommon_policy stops analyze too, which
+# builds no subsets.
+MALFORMED_INPUTS = {
+    "no-data": (["analyze", "--target", "Y"], {}, 2,
+                "no input data file given (use --data or the config)"),
+    "no-target": (["analyze", "--data", "{data}"], {}, 2,
+                  "no target signal given (use --target or the config)"),
+    "no-model-out": (["train", *TOY_ARGS], {}, 2,
+                     "no model output path (use --model-out or the config)"),
+    "unknown-learner-option": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"learner": {"depth": 3}}}, 2, "unknown learner options: ['depth']",
+    ),
+    "unknown-learner-kind": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"learner": {"kind": "svm"}}}, 2, "unknown learner kind 'svm'",
+    ),
+    "unknown-config-key": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"bogus": 1}}, 2, "{config}: unknown config keys ['bogus']",
+    ),
+    "coalesce-without-equals": (
+        ["analyze", *TOY_ARGS, "--coalesce", "B"], {}, 2,
+        "coalesce directive 'B' must look like NEW=A,B",
+    ),
+    "coalesce-without-sources": (
+        ["analyze", *TOY_ARGS, "--coalesce", "B=,"], {}, 2,
+        "coalesce directive 'B=,' must look like NEW=A,B",
+    ),
+    "member-features": (
+        PREDICT,
+        {"model": boosting(dict(C_MEMBER, features=["A"]))}, 2,
+        "malformed model: member 'base': learner features do not match member features",
+    ),
+    "ensemble-mode": (
+        PREDICT,
+        {"model": dict(boosting(MEAN_MEMBER), mode="stacking")}, 2,
+        "malformed model: unknown ensemble mode 'stacking'",
+    ),
+    "weights-not-a-list": (
+        PREDICT,
+        {"model": boosting(ridge_member(2.0))}, 2,
+        "malformed model: weights must be a list, got 2.0",
+    ),
+    "weight-count": (
+        PREDICT,
+        {"model": boosting(ridge_member([1.0, 2.0]))}, 2,
+        "malformed model: 2 weights for 1 features",
+    ),
+    "stratum-repeats-a-feature": (
+        ["evaluate", *TOY_ARGS, "--model", "{model}", "--strata", "{strata}"],
+        {"model": boosting(MEAN_MEMBER), "strata": [{"name": "s", "features": ["A", "A"]}]},
+        2, "malformed strata manifest: subset 's' repeats a feature",
+    ),
+    "segment-repeats-a-group": (
+        ["subset", *CONFIG_ARGS],
+        {"config": dict(ROUTES, segments={"s": ["GA", "GA"]})}, 2,
+        "segment 's' repeats a group",
+    ),
+    "segment-lists-no-groups": (
+        ["subset", *CONFIG_ARGS],
+        {"config": dict(ROUTES, segments={"s": []})}, 1, "segment 's' lists no groups",
+    ),
+    "segment-covers-only-the-target": (
+        ["subset", *CONFIG_ARGS],
+        {"config": dict(ROUTES, segments={"s": ["GY"]})}, 1,
+        "segment 's' covers no feature signals",
+    ),
+    "routes-without-segments": (
+        ["subset", *CONFIG_ARGS],
+        {"config": {"strategy": "routes"}}, 2, "strategy 'routes' needs route segments",
+    ),
+    "unknown-strategy": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"strategy": "bogus"}}, 2, "unknown strategy 'bogus'",
+    ),
+    "unknown-uncommon-policy": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"uncommon_policy": "keep"}}, 2, "unknown uncommon_policy 'keep'",
+    ),
+    "min-support-zero": (
+        ["subset", *TOY_ARGS, "--strategy", "auto", "--min-support", "0"], {}, 2,
+        "min_support must be in (0, 1], got 0.0",
+    ),
+    "unknown-distribution": (
+        GENERATE,
+        {"layout": layout_with(set_dist(["beta", 0.0, 1.0]))}, 2,
+        "signal 'DES_1': unknown distribution 'beta'",
+    ),
+    "negative-sd": (
+        GENERATE,
+        {"layout": layout_with(set_dist(["normal", 0.0, -1.0]))}, 2,
+        "signal 'DES_1': negative sd",
+    ),
+    "empty-uniform-range": (
+        GENERATE,
+        {"layout": layout_with(set_dist(["uniform", 1.0, 0.0]))}, 2,
+        "signal 'DES_1': empty uniform range",
+    ),
+    "repeated-unit": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc["units"][1].update(name="DES"))}, 2,
+        "unit names must be unique",
+    ),
+    "target-is-a-signal": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc["target_rule"].update(target="DES_1"))}, 2,
+        "target name collides with a unit signal",
+    ),
+    "no-routes": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc.update(routes=[]))}, 2,
+        "layout declares no routes",
+    ),
+    "zero-probability": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc["routes"][0].update(probability=0))}, 2,
+        "route 'narrow': non-positive probability",
+    ),
+    "negative-noise": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc["target_rule"].update(noise_sigma=-1.0))},
+        2, "noise_sigma must be non-negative",
+    ),
+    "no-rows": (["generate", "--out", "{out}", "--rows", "0"], {}, 2,
+                "n_rows must be at least 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,documents,code,message", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS
+)
+def test_malformed_input_exit_code_and_message(
+    toy6_csv, tmp_path, capsys, argv, documents, code, message
+):
+    paths = {"data": toy6_csv, "out": str(tmp_path / "out")}
+    for kind, doc in documents.items():
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        Path(paths[kind]).write_text(json.dumps(doc), encoding="utf-8")
+    exit_code = main([arg.format(**paths) for arg in argv])
+    err = one_line_error(exit_code, capsys, expected=code)
+    assert err == f"error: {message.format(**paths)}\n"
+    assert not Path(paths["out"]).exists()

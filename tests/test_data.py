@@ -418,6 +418,51 @@ class TestImmutability:
         rows = np.arange(0, ds.n_rows, 2)
         assert peak_over_values(lambda: ds.project(ds.signals[1:], rows)) <= 1.5
 
+    def test_read_only_view_is_copied(self):
+        # The caller can still write the view's base array.
+        base = np.array([[1.0, np.nan], [3.0, 4.0]])
+        view = base[:]
+        view.flags.writeable = False
+        ds = Dataset(("a", "b"), view)
+        mask, (patterns, counts) = ds.availability_mask(), ds.availability_patterns()
+        base[0, 1] = 2.0
+        assert np.array_equal(ds.values, [[1.0, np.nan], [3.0, 4.0]], equal_nan=True)
+        assert mask.tolist() == (~np.isnan(ds.values)).tolist()
+        assert counts.sum() == 2 and len(patterns) == 2
+
+    @pytest.mark.parametrize(
+        "make,writeable,kept",
+        [
+            (lambda: np.ones((2, 1)), True, False),
+            (lambda: np.ones((2, 1)), False, True),
+            (lambda: np.ones((2, 3))[:, :1], False, False),
+            (lambda: np.ones((2, 1)).view(), False, False),
+        ],
+        ids=["writeable", "read-only-owned", "read-only-view", "read-only-view-of-all"],
+    )
+    def test_keeps_only_a_read_only_array_that_owns_its_memory(self, make, writeable, kept):
+        values = make()
+        values.flags.writeable = writeable
+        ds = Dataset(("a",), values)
+        assert (ds.values is values) == kept
+        assert not ds.values.flags.writeable and ds.values.base is None
+
+    def test_array_of_another_object_is_copied(self):
+        class Holder:
+            def __init__(self):
+                self.values = np.ones((2, 1))
+
+            def __array__(self, dtype=None, copy=None):
+                return self.values
+
+        holder = Holder()
+        ds = Dataset(("a",), holder)
+        assert ds.values is not holder.values and holder.values.flags.writeable
+
+    def test_converted_input_is_not_copied_again(self):
+        single = np.ones((50_000, 1), dtype=np.float32)
+        assert peak_over_values(lambda: Dataset(("a",), single)) <= 1.25
+
     def test_columns_are_filled_once(self):
         column = [None, 1.5, 2.5] * 5_000
         columns = {f"s{j}": column for j in range(8)}

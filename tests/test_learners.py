@@ -578,3 +578,26 @@ class TestSplitHeight:
         assert len(learners._parameters(tree)) == MAX_TREE_DEPTH + 1
         with pytest.raises(ValueError, match="tree shares a node document between two paths"):
             learner_to_dict(tree)
+
+
+class TestHandBuiltLearners:
+    """A learner built by hand holds what its scorers read, so both agree."""
+
+    def test_ridge_weights_match_the_features(self):
+        with pytest.raises(ValueError, match=r"^2 weights for 1 features$"):
+            RidgeLearner(("a",), 0.0, [1.0, 2.0])
+
+    @pytest.mark.parametrize("feature", [3, 1, -1])
+    def test_tree_splits_on_its_features(self, feature):
+        with pytest.raises(ValueError, match=rf"^tree splits on feature {feature} of 1$"):
+            TreeLearner(("a",), Split(feature, 0.0, Leaf(1.0, 1), Leaf(2.0, 1)))
+
+    def test_ridge_copies_a_read_only_view(self):
+        weights = np.array([2.0])
+        view = weights[:]
+        view.flags.writeable = False
+        learner = RidgeLearner(("a",), 0.0, view)
+        weights[0] = 10.0
+        one = learner.predict_one([1.0])
+        assert np.array([one]).tobytes() == learner.predict_matrix([[1.0]]).tobytes()
+        assert one == 2.0
