@@ -5,6 +5,12 @@ out: the CSV reader rejects literal NaN input, so internally NaN means
 "absent" and nothing else. Datasets are immutable after construction and
 safe to share across threads; every operation returns a new dataset.
 
+Presence is kept as one bit per cell: ``_pack_rows`` packs each row's bits
+into the smallest unsigned word that holds them (1, 2, 4 or 8 bytes, and
+8-byte words past 64 signals), so a row never takes more bytes than its
+bool row would. A dataset tests rows on these words and finds its
+availability patterns by sorting them as integers.
+
 CSV format: UTF-8, header line of signal names, comma separator, ``.``
 decimal point, empty field = missing value, LF or CRLF line endings.
 
@@ -79,6 +85,13 @@ class Dataset:
     missing cell. ``target`` names the prediction target column and may
     be ``None`` for feature-only tables (e.g. prediction inputs or
     projections that drop the target).
+
+    Its presence is packed into row words (``_pack_rows``) on the first
+    question about it, and kept: a row takes 1 byte up to 8 signals, 2 up
+    to 16, 4 up to 32, 8 up to 64, then 8 per 64.
+    ``rows_with``, ``present_signals`` and ``availability_patterns`` read
+    these words; only ``availability_mask`` unpacks them into a bool
+    matrix, which it then keeps too.
     """
 
     signals: tuple[SignalId, ...]
@@ -113,26 +126,32 @@ class Dataset:
         return self.values[:, self.index(signal)]
 
     @cached_property
+    def _words(self) -> np.ndarray:
+        words = _pack_rows(self.values)
+        words.flags.writeable = False
+        return words
+
+    @cached_property
     def _mask(self) -> np.ndarray:
-        mask = ~np.isnan(self.values)
+        mask = _unpack(_row_keys(self._words), len(self.signals))
         mask.flags.writeable = False
         return mask
 
     def availability_mask(self) -> np.ndarray:
         """Boolean (n_rows, n_signals) matrix, True where a cell is present.
 
-        It is computed on the first call and the same read-only array is
-        returned by every later one.
+        It is unpacked from the row words on the first call, which costs
+        n_rows * n_signals bytes for as long as the dataset lives, and the
+        same read-only array is returned by every later one.
         """
         return self._mask
 
     @cached_property
     def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        first, inverse = unique_rows(self._mask)
-        rows = self._mask[first]
-        counts = np.bincount(inverse, minlength=first.size)
-        rows.flags.writeable = counts.flags.writeable = False
-        return rows, counts
+        keys, counts = np.unique(_row_keys(self._words), return_counts=True)
+        patterns = _unpack(keys, len(self.signals))
+        patterns.flags.writeable = counts.flags.writeable = False
+        return patterns, counts
 
     def availability_patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(patterns, counts)``: each distinct row of ``availability_mask()``
@@ -140,8 +159,9 @@ class Dataset:
         unspecified but fixed order, and the read-only number of rows
         showing each, which sum to n_rows.
 
-        The mask is sorted once, on the first call; every summary of the
-        missingness structure reduces these few rows instead of the mask.
+        A copy of the row words is sorted once, on the first call, and its
+        runs counted; every summary of the missingness structure reduces
+        these few rows instead of the table.
         """
         return self._patterns
 
@@ -150,11 +170,22 @@ class Dataset:
 
         No signals select every row; an unknown one raises UnknownSignal.
         """
-        return self._mask[:, [self.index(s) for s in signals]].all(axis=1)
+        words = self._words
+        bits = 8 * words.itemsize
+        wanted = [0] * words.shape[1]
+        for j in map(self.index, signals):
+            wanted[j // bits] |= 1 << (j % bits)
+        rows = np.ones(self.n_rows, dtype=bool)
+        for word, want in zip(words.T, wanted):
+            if want:
+                want = words.dtype.type(want)
+                rows &= (word & want) == want
+        return rows
 
     def present_signals(self, row: int) -> set[SignalId]:
         self._check_row(row)
-        return {s for s, ok in zip(self.signals, self._mask[row]) if ok}
+        key = int.from_bytes(self._words[row].tobytes(), "little")
+        return {s for j, s in enumerate(self.signals) if key >> j & 1}
 
     def row_values(self, row: int) -> dict[SignalId, float]:
         """Mapping of present signals to their values for one row."""
@@ -448,19 +479,59 @@ def load_dataset(path: str | Path, target: SignalId) -> Dataset:
     return Dataset(table.signals, table.values, target)
 
 
+def _pack_rows(table: np.ndarray) -> np.ndarray:
+    """The presence of the cells of a float or bool matrix as row words:
+    a float cell is present unless it is NaN, a bool cell when it is True.
+
+    The words are an (n_rows, n_words) array of little-endian unsigned
+    integers, 1, 2, 4 or 8 bytes wide, whichever is the smallest to hold
+    a row's bits; past 64 columns, ceil(width / 64) words of 8 bytes.
+    Column j is bit ``j % bits`` of word ``j // bits``, and the bits past
+    the last column are 0, so equal rows have equal words.
+    """
+    n_rows, width = table.shape
+    size = next((s for s in (1, 2, 4) if width <= 8 * s), 8)
+    n_words = -(-width // (8 * size))
+    # Each row padded with False to whole words, so one flat packbits
+    # packs every row; packbits along rows is several times slower.
+    present = np.zeros((n_rows, 8 * size * n_words), dtype=bool)
+    if table.dtype == bool:
+        present[:, :width] = table
+    else:
+        np.equal(table, table, out=present[:, :width])  # NaN != NaN
+    packed = np.packbits(present, axis=None, bitorder="little")
+    return packed.view(f"<u{size}").reshape(n_rows, n_words)
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """One key per row of ``_pack_rows`` words, equal exactly where the rows
+    are: the row's word, or its bytes as one void value when it has
+    several words, or zero when it has none."""
+    n_rows, n_words = words.shape
+    if n_words == 1:
+        return words[:, 0]
+    if n_words == 0:
+        return np.zeros(n_rows, np.uint8)
+    return words.view(np.dtype((np.void, n_words * words.itemsize)))[:, 0]
+
+
+def _unpack(keys: np.ndarray, width: int) -> np.ndarray:
+    """The bool rows of ``width`` cells that the row keys ``keys`` hold."""
+    octets = keys.view(np.uint8).reshape(len(keys), keys.itemsize)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little").view(bool)
+
+
 def unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(first, inverse)`` of the distinct rows of a bool matrix:
     ``mask[first]`` holds each once, in an unspecified order, and
     ``mask[first][inverse]`` equals ``mask``.
 
-    Each row is packed into bytes and compared as one opaque key, which
+    Each row is packed into its words and compared as one key, which
     avoids the column-by-column row sort of ``np.unique(axis=0)``.
     """
-    packed = np.packbits(mask, axis=1)  # a new C-ordered array
-    if not packed.shape[1]:  # no columns: every row is the same empty row
-        return np.arange(min(len(mask), 1)), np.zeros(len(mask), dtype=np.intp)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(
+        _row_keys(_pack_rows(mask)), return_index=True, return_inverse=True
+    )
     return first, inverse
 
 

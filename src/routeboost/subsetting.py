@@ -170,12 +170,15 @@ def subsets_by_common_routes(
             )
 
     if uncommon_policy == "merge_common":
-        covered = np.zeros(dataset.n_rows, dtype=bool)
+        # Whether a spec covers a row depends only on the row's pattern, so
+        # the uncommon rows are the rows of the patterns no spec covers.
+        patterns, _ = dataset.availability_patterns()
+        covered = np.zeros(len(patterns), dtype=bool)
         for spec in specs:
-            covered |= dataset.rows_with(spec.features)
-        uncommon = ~covered
-        if uncommon.any():
-            common_cols = dataset.availability_mask()[uncommon].all(axis=0)
+            covered |= patterns[:, [dataset.index(s) for s in spec.features]].all(axis=1)
+        uncommon = patterns[~covered]
+        if len(uncommon):
+            common_cols = uncommon.all(axis=0)
             feats = {
                 s
                 for s, ok in zip(dataset.signals, common_cols)
@@ -279,8 +282,11 @@ def build_subset_specs(
             segments = [RouteSegment(n, tuple(gs)) for n, gs in options.segments.items()]
         except ValueError as exc:  # a segment repeats a group
             raise ConfigError(str(exc)) from None
-    specs = subsets_by_common_routes(
-        dataset, groups, segments, min_support=options.min_support,
-        uncommon_policy=options.uncommon_policy,
-    )
+    try:
+        specs = subsets_by_common_routes(
+            dataset, groups, segments, min_support=options.min_support,
+            uncommon_policy=options.uncommon_policy,
+        )
+    except (EmptySegment, UnknownGroup) as exc:  # the configured segments' shape
+        raise ConfigError(str(exc)) from None
     return specs, groups

@@ -33,6 +33,11 @@ def toy6() -> Dataset:
     )
 
 
+# Table widths at the edges of the packed presence words: none, within
+# one byte, at and past 1, 2, 4 and 8 bytes, and past two 8-byte words.
+WORD_EDGES = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129]
+
+
 def random_masked_dataset(rng: np.random.Generator, target="Y") -> Dataset:
     """A small random dataset with random holes (target column stays last)."""
     n = int(rng.integers(1, 30))

@@ -13,7 +13,7 @@ from routeboost.analysis import (
 from routeboost.data import Dataset, dataset_from_columns, unique_rows
 from routeboost.errors import OverlappingGroups, UnknownSignal
 from tests import analysis_oracle
-from tests.conftest import random_masked_dataset
+from tests.conftest import WORD_EDGES, random_masked_dataset
 
 
 class TestPatternSummary:
@@ -161,10 +161,11 @@ def test_partition_properties_hold_for_random_masks(seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 60), st.integers(0, 20), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 60), st.sampled_from(WORD_EDGES), st.integers(0, 2**32 - 1))
 def test_packed_unique_rows_match_row_sort(n_rows, n_cols, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((n_rows, n_cols)) < rng.uniform(0.0, 1.0)
+    mask[: n_rows // 2] = mask[n_rows // 2 :][: n_rows // 2]  # rows that repeat
     first, inverse = unique_rows(mask)
     assert np.array_equal(mask[first][inverse], mask)
     rows, counts = mask[first], np.bincount(inverse)

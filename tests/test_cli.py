@@ -1015,12 +1015,17 @@ MALFORMED_INPUTS = {
     ),
     "segment-lists-no-groups": (
         ["subset", *CONFIG_ARGS],
-        {"config": dict(ROUTES, segments={"s": []})}, 1, "segment 's' lists no groups",
+        {"config": dict(ROUTES, segments={"s": []})}, 2, "segment 's' lists no groups",
     ),
     "segment-covers-only-the-target": (
         ["subset", *CONFIG_ARGS],
-        {"config": dict(ROUTES, segments={"s": ["GY"]})}, 1,
+        {"config": dict(ROUTES, segments={"s": ["GY"]})}, 2,
         "segment 's' covers no feature signals",
+    ),
+    "unknown-group": (
+        ["subset", *CONFIG_ARGS],
+        {"config": dict(ROUTES, segments={"s": ["GA", "GB"]})}, 2,
+        "segment 's': unknown group 'GB'",
     ),
     "routes-without-segments": (
         ["subset", *CONFIG_ARGS],
