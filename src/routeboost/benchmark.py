@@ -45,7 +45,7 @@ def benchmark_learner_config(kind: str = "ridge", **overrides) -> LearnerConfig:
 
 
 def _row_checksum(rows: np.ndarray) -> str:
-    return hashlib.sha256(",".join(str(int(r)) for r in rows).encode()).hexdigest()
+    return hashlib.sha256(",".join(map(str, rows.tolist())).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

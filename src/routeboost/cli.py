@@ -31,6 +31,7 @@ from .data import (
     load_dataset,
     load_table,
     read_json,
+    unique_rows,
     write_csv,
     write_json,
 )
@@ -176,17 +177,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not out:
         raise InputError("no predictions output path (use --out or the config)")
     values, fired = model.predict_dataset(table)
+    scored = fired.any(axis=1)
+    # The members and reason cells of each fired pattern, once per pattern.
+    first, inverse = unique_rows(fired)
     names = [m.name for m in model.members]
+    cells = np.empty((first.size, 2), dtype=object)
+    for k, row_fired in enumerate(fired[first].tolist()):
+        if any(row_fired):
+            cells[k] = (",".join(n for n, f in zip(names, row_fired) if f), "")
+        else:
+            cells[k] = ("", "no-applicable-model")
+    predictions = np.array(list(map(repr, values.tolist())), dtype=object)
+    predictions[~scored] = ""
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["prediction", "members", "reason"])
-        for value, row_fired in zip(values.tolist(), fired.tolist()):
-            if any(row_fired):
-                members = ",".join(n for n, f in zip(names, row_fired) if f)
-                writer.writerow([repr(value), members, ""])
-            else:
-                writer.writerow(["", "", "no-applicable-model"])
-    n_ok = int(np.count_nonzero(fired.any(axis=1)))
+        writer.writerows(zip(predictions, *cells[inverse].T))
+    n_ok = int(np.count_nonzero(scored))
     print(f"predicted {n_ok}/{table.n_rows} rows -> {out}")
     return 0
 

@@ -183,13 +183,14 @@ class Dataset:
         return rows
 
     def present_signals(self, row: int) -> set[SignalId]:
-        self._check_row(row)
+        row = self._check_row(row)
         key = int.from_bytes(self._words[row].tobytes(), "little")
         return {s for j, s in enumerate(self.signals) if key >> j & 1}
 
     def row_values(self, row: int) -> dict[SignalId, float]:
         """Mapping of present signals to their values for one row."""
-        self._check_row(row)
+        if type(row) is not int or not 0 <= row < self.n_rows:
+            row = self._check_row(row)
         vals = self.values[row].tolist()
         return {s: v for s, v in zip(self.signals, vals) if v == v}  # NaN != NaN
 
@@ -201,8 +202,8 @@ class Dataset:
         """Select columns and rows; original row and column order is kept.
 
         ``rows`` may list indices in any order and repeat them; each
-        selected row appears once. The target is retained only if it is
-        among ``keep``.
+        selected row appears once, and a bool or float index raises
+        TypeError. The target is retained only if it is among ``keep``.
         """
         keep_set = set(keep)
         unknown = keep_set - set(self.signals)
@@ -212,9 +213,10 @@ class Dataset:
         if rows is None:
             row_idx = np.arange(self.n_rows)
         else:
-            if not isinstance(rows, np.ndarray):
-                rows = list(rows)
-            row_idx = np.sort(np.asarray(rows, dtype=np.intp))
+            rows = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
+            if rows.size and rows.dtype.kind not in "iu":
+                raise TypeError(f"row indices must be integers, got {rows.dtype}")
+            row_idx = np.sort(rows.astype(np.intp, copy=False))
             first = np.ones(row_idx.size, dtype=bool)
             first[1:] = row_idx[1:] != row_idx[:-1]
             row_idx = row_idx[first]
@@ -228,9 +230,13 @@ class Dataset:
         target = self.target if self.target in keep_set else None
         return Dataset(tuple(cols), sub, target)
 
-    def _check_row(self, row: int) -> None:
+    def _check_row(self, row: int) -> int:
+        """``row`` as an ``int``; a bool or a non-integer raises TypeError."""
+        if isinstance(row, (bool, np.bool_)) or not isinstance(row, (int, np.integer)):
+            raise TypeError(f"row index {row!r} is not an integer")
         if not 0 <= row < self.n_rows:
             raise RowOutOfRange(f"row index {row} outside [0, {self.n_rows})")
+        return int(row)
 
 
 def dataset_from_columns(

@@ -244,20 +244,6 @@ def _fit_members(
     return tuple(members)
 
 
-def _train_stagewise(
-    dataset: Dataset, ordered: Sequence[SubsetSpec], config: LearnerConfig
-) -> EnsembleModel:
-    """Member k is fit against every earlier member whose features it has,
-    exactly those that fire at its rows. Member 0 is named "base"."""
-    parents = [
-        [j for j in range(k) if ordered[j].feature_set <= spec.feature_set]
-        for k, spec in enumerate(ordered)
-    ]
-    names = ["base"] + [spec.name for spec in ordered[1:]]
-    members = _fit_members(dataset, ordered, parents, names, config)
-    return EnsembleModel("boosting", dataset.target, members)
-
-
 def train_boosting(
     dataset: Dataset, specs: Sequence[SubsetSpec], config: LearnerConfig
 ) -> EnsembleModel:
@@ -268,7 +254,7 @@ def train_boosting(
     0..k-1 (all evaluable there because of the nesting). Member 0 keeps
     the role name "base"; residual members keep their subset names.
     """
-    return _train_stagewise(dataset, validate_nested_chain(specs), config)
+    return train_boosting_branched(dataset, validate_nested_chain(specs), config)
 
 
 def train_boosting_branched(
@@ -276,10 +262,12 @@ def train_boosting_branched(
 ) -> EnsembleModel:
     """Boosting over subsets that all contain the narrowest one.
 
-    Specs are ordered by (size, name); the first is the base and must be
-    inside every other spec. A chain trains as in ``train_boosting``. Two
-    branches that do not contain each other both fire on a row with both
-    their signals, each fit without the other's correction.
+    Specs are ordered by (size, name); the first is the base, named
+    "base", and must be inside every other spec. Member k is fit against
+    every earlier member whose features it has, exactly those that fire
+    at its rows, so a chain trains as in ``train_boosting``. Two branches
+    that do not contain each other both fire on a row with both their
+    signals, each fit without the other's correction.
     """
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
@@ -291,7 +279,13 @@ def train_boosting_branched(
                 f"every other subset, but {spec.name!r} does not contain it "
                 "(bagging fits subsets that are not nested)"
             )
-    return _train_stagewise(dataset, ordered, config)
+    parents = [
+        [j for j in range(k) if ordered[j].feature_set <= spec.feature_set]
+        for k, spec in enumerate(ordered)
+    ]
+    names = ["base"] + [spec.name for spec in ordered[1:]]
+    members = _fit_members(dataset, ordered, parents, names, config)
+    return EnsembleModel("boosting", dataset.target, members)
 
 
 def train_bagging(
@@ -313,12 +307,10 @@ def train_conventional(dataset: Dataset, config: LearnerConfig) -> EnsembleModel
     if dataset.target is None:
         raise ValueError("train_conventional requires a dataset with a target")
     features = tuple(s for s in dataset.signals if s != dataset.target)
-    spec = SubsetSpec("conventional", features)
     try:
-        members = _fit_members(dataset, [spec], [()], [spec.name], config)
+        return train_bagging(dataset, [SubsetSpec("conventional", features)], config)
     except EmptySubset:
         raise EmptyTrainingSet("no row is free of missing values") from None
-    return EnsembleModel("bagging", dataset.target, members)
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -6,6 +6,10 @@ row at a time through the scalar ``EnsembleModel.predict`` and
 ``predict_with_members``; the columnar path must give exactly their
 results (``StratifiedMetrics.to_dict()`` and the predictions CSV compared
 with ``==``).
+
+``write_predictions_per_row`` is the per-row writer ``routeboost predict``
+used before it wrote one line shape per fired pattern; the command must
+write its bytes.
 """
 
 from __future__ import annotations
@@ -88,6 +92,23 @@ def evaluate(
     return StratifiedMetrics(
         tuple(rows), overall, skipped_missing_target, skipped_no_stratum
     )
+
+
+def write_predictions_per_row(model: EnsembleModel, table: Dataset, out) -> None:
+    """``routeboost predict``'s output written from ``predict_dataset`` one
+    row at a time: per row an ``any`` of its fired members, a join of their
+    names and one ``writerow``."""
+    values, fired = model.predict_dataset(table)
+    names = [m.name for m in model.members]
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["prediction", "members", "reason"])
+        for value, row_fired in zip(values.tolist(), fired.tolist()):
+            if any(row_fired):
+                members = ",".join(n for n, f in zip(names, row_fired) if f)
+                writer.writerow([repr(value), members, ""])
+            else:
+                writer.writerow(["", "", "no-applicable-model"])
 
 
 def write_predictions(model: EnsembleModel, table: Dataset, out) -> int:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import re
@@ -11,6 +12,7 @@ import routeboost.data
 from routeboost import __version__
 from routeboost.cli import main
 from routeboost.data import write_csv
+from routeboost.ensemble import train_test_split_rows
 from routeboost.synthgen import GenSpec, default_layout, generate
 
 
@@ -336,6 +338,9 @@ class TestBenchmark:
         assert "proposed" in table and "conventional" in table
         doc = json.loads(out_json.read_text())
         assert doc["proposed"]["train_checksum"] == doc["conventional"]["train_checksum"]
+        train, _ = train_test_split_rows(1500, 0.3, 42)
+        joined = ",".join(str(int(r)) for r in train)
+        assert doc["proposed"]["train_checksum"] == hashlib.sha256(joined.encode()).hexdigest()
         assert doc["n_train"] + doc["n_test"] == doc["n_rows"] == 1500
 
     def test_synthetic_keeps_an_explicit_grouped_strategy(self, tmp_path):

@@ -1,8 +1,8 @@
 """The library's own argument checks: each raises its type and message.
 
 These guard the public functions against calls the CLI never makes, so
-no command reaches them: a table of the wrong shape, a row out of range,
-an empty list of subsets, a dataset without a target, a fraction out of
+no command reaches them: a table of the wrong shape, a row out of range
+or not an integer, an empty list of subsets, a dataset without a target, a fraction out of
 range. A case that needs a table reads the six-row ``toy6`` one.
 """
 
@@ -71,6 +71,43 @@ GUARDS = {
     ),
     "present-signals-negative-row": (
         lambda toy: toy.present_signals(-1), RowOutOfRange, "row index -1 outside [0, 6)",
+    ),
+    "row-values-bool-row": (
+        lambda toy: toy.row_values(True), TypeError, "row index True is not an integer",
+    ),
+    "row-values-numpy-bool-row": (
+        lambda toy: toy.row_values(np.True_), TypeError,
+        f"row index {np.True_!r} is not an integer",
+    ),
+    "row-values-float-row": (
+        lambda toy: toy.row_values(1.0), TypeError, "row index 1.0 is not an integer",
+    ),
+    "present-signals-bool-row": (
+        lambda toy: toy.present_signals(True), TypeError,
+        "row index True is not an integer",
+    ),
+    "present-signals-numpy-bool-row": (
+        lambda toy: toy.present_signals(np.False_), TypeError,
+        f"row index {np.False_!r} is not an integer",
+    ),
+    "present-signals-string-row": (
+        lambda toy: toy.present_signals("1"), TypeError, "row index '1' is not an integer",
+    ),
+    "project-bool-array-rows": (
+        lambda toy: toy.project(toy.signals, np.array([False, False, True, True])),
+        TypeError, "row indices must be integers, got bool",
+    ),
+    "project-bool-list-rows": (
+        lambda toy: toy.project(toy.signals, [True, False]), TypeError,
+        "row indices must be integers, got bool",
+    ),
+    "project-float-list-rows": (
+        lambda toy: toy.project(toy.signals, [1.7, 2.2]), TypeError,
+        "row indices must be integers, got float64",
+    ),
+    "project-float-array-rows": (
+        lambda toy: toy.project(toy.signals, np.array([1.0])), TypeError,
+        "row indices must be integers, got float64",
     ),
     "columns-of-unequal-length": (
         lambda toy: dataset_from_columns({"a": [1.0], "b": [1.0, 2.0]}), ValueError,

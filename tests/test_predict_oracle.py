@@ -2,9 +2,12 @@
 
 ``evaluate`` must report exactly what the row loop in
 ``tests/predict_oracle.py`` reports, ``routeboost predict`` must write the
-same bytes, and ``EnsembleModel.predict_dataset`` must give every row the
-value and member names the scalar ``predict_with_members`` gives it.
+same bytes as both of its writers there, and
+``EnsembleModel.predict_dataset`` must give every row the value and member
+names the scalar ``predict_with_members`` gives it.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from routeboost.cli import main
 from routeboost.data import Dataset, write_csv
 from routeboost.ensemble import (
     evaluate,
+    load_model,
     save_model,
     train_bagging,
     train_boosting,
@@ -24,6 +28,7 @@ from routeboost.ensemble import (
 )
 from routeboost.errors import NoApplicableModel
 from routeboost.subsetting import SubsetSpec
+from routeboost.synthgen import GenSpec, default_layout, generate
 from tests import predict_oracle
 from tests.test_train_oracle import LEARNER_IDS, LEARNERS, plant
 
@@ -137,3 +142,52 @@ def test_plant_cli_outputs_match_oracle(tmp_path, strategy, mode, learner):
     ) == 0
     predict_oracle.write_predictions(model, ds, expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+# Route segment names, which become member names, that a CSV field must
+# quote: a comma, a double quote, both.
+QUOTED_NAMES = ['narrow, short', 'balanced "mid"', 'wide, "all" units']
+
+
+@pytest.mark.parametrize("learner", ["ridge", "tree"])
+@pytest.mark.parametrize("mode", ["boosting", "bagging"])
+def test_predict_writes_the_per_row_writers_bytes(tmp_path, mode, learner):
+    """``routeboost predict`` against the per-row writer, on a table with
+    unscored rows and member names that need quoting."""
+    layout = default_layout()
+    ds = generate(GenSpec(layout, 1500, 3))
+    groups = {u.name: [s.name for s in u.signals] for u in layout.units}
+    segments = {n: list(r.units) for n, r in zip(QUOTED_NAMES, layout.routes)}
+    config, data = tmp_path / "config.json", tmp_path / "plant.csv"
+    config.write_text(
+        json.dumps({"strategy": "routes", "groups": groups, "segments": segments}),
+        encoding="utf-8",
+    )
+    write_csv(ds, data)
+    model_path = tmp_path / "model.json"
+    assert main(
+        [
+            "train", "--config", str(config), "--data", str(data), "--target", "Y",
+            "--mode", mode, "--learner", learner, "--model-out", str(model_path),
+        ]
+    ) == 0
+    model = load_model(model_path)
+
+    # Every fifth row keeps only its target, so no member fires there;
+    # every fifth row from the second lacks the first member's first input.
+    values = ds.values.copy()
+    inputs = [j for j, s in enumerate(ds.signals) if s != ds.target]
+    values[::5, inputs] = np.nan
+    values[1::5, ds.index(model.members[0].features[0])] = np.nan
+    table = Dataset(ds.signals, values, ds.target)
+    write_csv(table, data)
+
+    out, expected = tmp_path / "pred.csv", tmp_path / "oracle.csv"
+    assert main(
+        ["predict", "--model", str(model_path), "--data", str(data), "--out", str(out)]
+    ) == 0
+    predict_oracle.write_predictions_per_row(model, table, expected)
+    assert out.read_bytes() == expected.read_bytes()
+    text = out.read_text(encoding="utf-8")
+    assert ",,no-applicable-model\n" in text
+    assert 'balanced ""mid""' in text and 'wide, ""all"" units' in text
