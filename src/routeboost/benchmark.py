@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import CSV_BLOCK_FIELDS, Dataset
 from .ensemble import (
     ENSEMBLE_MODES,
     EnsembleModel,
@@ -45,7 +45,12 @@ def benchmark_learner_config(kind: str = "ridge", **overrides) -> LearnerConfig:
 
 
 def _row_checksum(rows: np.ndarray) -> str:
-    return hashlib.sha256(",".join(map(str, rows.tolist())).encode()).hexdigest()
+    """SHA-256 of the row indices joined by commas, fed a block at a time."""
+    digest = hashlib.sha256()
+    for start in range(0, rows.size, CSV_BLOCK_FIELDS):
+        block = rows[start : start + CSV_BLOCK_FIELDS].tolist()
+        digest.update(("," * (start > 0) + ",".join(map(str, block))).encode())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,7 @@ class Dataset:
                 bad = row_idx[0] if row_idx[0] < 0 else row_idx[-1]
                 raise RowOutOfRange(f"row index {bad} outside [0, {self.n_rows})")
         col_idx = [self.index(s) for s in cols]
-        sub = self.values[np.ix_(row_idx, col_idx)] if col_idx else \
-            np.empty((len(row_idx), 0), dtype=np.float64)
+        sub = self.values[np.ix_(row_idx, col_idx)]
         sub.flags.writeable = False  # a fresh array, so Dataset need not copy
         target = self.target if self.target in keep_set else None
         return Dataset(tuple(cols), sub, target)

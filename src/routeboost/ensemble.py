@@ -142,7 +142,7 @@ class EnsembleModel:
         A NaN value marks its signal absent, as a NaN cell does in a
         ``Dataset``. The applicable members' scores are summed in member
         order from 0.0, each by its learner's row kernel on the values
-        picked from ``row``.
+        picked from ``row``, which it reads as floats whatever their type.
         """
         present = {s for s, v in row.items() if v == v}  # NaN != NaN
         total = 0.0

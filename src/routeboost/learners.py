@@ -7,10 +7,10 @@ Fitting is deterministic: identical values, whatever their memory
 layout, produce bit-identical parameters.
 
 Each learner's ``_score_row(xs)`` is its one per-row kernel: it takes
-any indexable sequence of the values in feature order and checks
-nothing. ``predict_one(x)`` runs it on ``x`` as ``_check_arity``
-converts it; ``EnsembleModel.predict_with_members`` on the values it
-picks from a row, which are floats when ``Dataset.row_values`` gave it.
+any indexable sequence of the values in feature order, reads each value
+it uses through ``float()``, as ``predict_matrix`` reads float64 columns,
+and checks nothing else. ``predict_one(x)`` runs it on ``x`` as
+``_check_arity`` converts it; ``predict_with_members`` on a row's values.
 """
 
 from __future__ import annotations
@@ -95,14 +95,22 @@ def _nodes(root: TreeNode) -> Iterator[TreeNode]:
             stack += [node.right, node.left]
 
 
+class _RowScorer:
+    def predict_one(self, x: Sequence[float]) -> float:
+        """``_score_row`` of the row ``x``. Each ``predict_matrix`` scores
+        every row in the same order, so a row scored alone and inside any
+        batch gives the same bits. Ridge adds ``x[j] * w[j]`` in feature
+        order from 0.0, then the intercept; a BLAS dot product or ``X @ w``
+        would not, and neither would ``sum``, which compensates its
+        rounding from Python 3.12 on."""
+        return self._score_row(_check_arity(x, self.features).tolist())
+
+
 @dataclass(frozen=True)
-class MeanLearner:
+class MeanLearner(_RowScorer):
     features: tuple[str, ...]
     value: float
     kind = "mean"
-
-    def predict_one(self, x: Sequence[float]) -> float:
-        return self._score_row(_check_arity(x, self.features).tolist())
 
     def _score_row(self, xs: Sequence[float]) -> float:
         return self.value
@@ -112,7 +120,7 @@ class MeanLearner:
 
 
 @dataclass(frozen=True)
-class RidgeLearner:
+class RidgeLearner(_RowScorer):
     features: tuple[str, ...]
     intercept: float
     weights: np.ndarray
@@ -125,18 +133,8 @@ class RidgeLearner:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
 
-    def predict_one(self, x: Sequence[float]) -> float:
-        """``intercept + sum_j x[j] * w[j]``, summed in feature order.
-
-        ``predict_matrix`` adds the same terms in the same order, so a
-        row scored alone and inside any batch gives the same bits; a BLAS
-        dot product or ``X @ w`` would not, and neither would ``sum``,
-        which compensates its rounding from Python 3.12 on.
-        """
-        return self._score_row(_check_arity(x, self.features).tolist())
-
     def _score_row(self, xs: Sequence[float]) -> float:
-        terms = map(operator.mul, xs, self._weight_list)
+        terms = map(operator.mul, map(float, xs), self._weight_list)
         return float(self.intercept + reduce(operator.add, terms, 0.0))
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -148,7 +146,7 @@ class RidgeLearner:
 
 
 @dataclass(frozen=True)
-class TreeLearner:
+class TreeLearner(_RowScorer):
     features: tuple[str, ...]
     root: TreeNode
     kind = "tree"
@@ -159,13 +157,9 @@ class TreeLearner:
             if isinstance(node, Split) and node.feature not in range(n):
                 raise ValueError(f"tree splits on feature {node.feature} of {n}")
 
-    def predict_one(self, x: Sequence[float]) -> float:
-        return self._score_row(_check_arity(x, self.features).tolist())
-
     def _score_row(self, xs: Sequence[float]) -> float:
         node = self.root
         while isinstance(node, Split):
-            # float() compares as predict_matrix's float64 column does.
             left = float(xs[node.feature]) <= node.threshold
             node = node.left if left else node.right
         return node.value

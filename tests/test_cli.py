@@ -1,16 +1,20 @@
 import csv
+import gc
 import hashlib
 import importlib
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import routeboost.data
 from routeboost import __version__
+from routeboost.benchmark import _row_checksum
 from routeboost.cli import main
+from routeboost.config import RunConfig, load_run_config
 from routeboost.data import write_csv
 from routeboost.ensemble import train_test_split_rows
 from routeboost.synthgen import GenSpec, default_layout, generate
@@ -343,6 +347,29 @@ class TestBenchmark:
         assert doc["proposed"]["train_checksum"] == hashlib.sha256(joined.encode()).hexdigest()
         assert doc["n_train"] + doc["n_test"] == doc["n_rows"] == 1500
 
+    BLOCK = routeboost.data.CSV_BLOCK_FIELDS
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_train_checksum_hashes_the_joined_indices(self, n):
+        train, _ = train_test_split_rows(2 * n, 0.5, n)
+        assert train.size == n
+        joined = ",".join(str(int(r)) for r in train)
+        assert _row_checksum(train) == hashlib.sha256(joined.encode()).hexdigest()
+
+    def test_train_checksum_peak_does_not_grow_with_the_indices(self):
+        """The indices are hashed a block at a time: 500,000 of them peak
+        at about 110 bytes for each index of one block, where one join of
+        them all peaked at about 100 bytes for each of the 500,000."""
+        train, _ = train_test_split_rows(1_000_000, 0.5, 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _row_checksum(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * self.BLOCK
+
     def test_synthetic_keeps_an_explicit_grouped_strategy(self, tmp_path):
         out_json = tmp_path / "bench.json"
         argv = ["benchmark", "--synthetic", "--rows", "1500", "--seed", "42"]
@@ -530,11 +557,15 @@ class TestMalformedConfig:
             ({"min_support": float("nan")}, "'min_support' must be float, got nan"),
             ({"min_support": True}, "'min_support' must be float, got True"),
             ({"learner": {"tree_max_depth": 65}}, "tree_max_depth must be at most 64"),
+            ({"mode": None}, "'mode' must be str, got None"),
+            ({"seed": None}, "'seed' must be int, got None"),
+            ({"learner": {"ridge_lambda": None}}, "'ridge_lambda' must be float, got None"),
         ],
         ids=[
             "seed", "test-fraction", "ridge-lambda", "group-string",
             "test-fraction-range", "mode", "ridge-lambda-nan", "min-support-nan",
-            "min-support-true", "tree-depth-cap",
+            "min-support-true", "tree-depth-cap", "mode-null", "seed-null",
+            "ridge-lambda-null",
         ],
     )
     def test_exit_2(self, steel_csv, tmp_path, capsys, doc, message):
@@ -695,6 +726,18 @@ class TestSettingsFromConfig:
         )
         assert code == 0
         assert out.read_text().splitlines()[1] == "1.0,base,"
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            key for key, spec in RunConfig.__dataclass_fields__.items()
+            if spec.type.endswith(" | None")
+        ],
+    )
+    def test_null_optional_setting_loads_as_unset(self, tmp_path, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: None}), encoding="utf-8")
+        assert getattr(load_run_config(config), key) is None
 
     def test_predict_without_output_path_exit_2(self, toy6_csv, tmp_path, capsys):
         model = tmp_path / "model.json"

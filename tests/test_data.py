@@ -363,6 +363,19 @@ class TestProject:
         assert sub.n_rows == len(old)
         assert sub.values.tobytes() == toy6.values[old].tobytes()
 
+    @pytest.mark.parametrize(
+        "n_rows,rows", [(6, None), (6, [4, 1, 4, 2]), (6, []), (0, None), (0, [])]
+    )
+    def test_no_columns(self, toy6, n_rows, rows):
+        table = toy6.project(toy6.signals, rows=range(n_rows))
+        sub = table.project([], rows=rows)
+        kept = range(n_rows) if rows is None else set(rows)
+        assert sub.signals == () and sub.target is None
+        assert sub.values.shape == (len(kept), 0)
+        assert sub.values.dtype == np.float64 and not sub.values.flags.writeable
+        with pytest.raises(RowOutOfRange):
+            table.project([], rows=[n_rows])
+
     @pytest.mark.parametrize("rows", [[6], np.array([2, -1, 2]), range(3, 8)])
     def test_rows_out_of_range_with_repeats(self, toy6, rows):
         with pytest.raises(RowOutOfRange):

@@ -328,6 +328,48 @@ class TestNanMeansAbsent:
             assert [n for n, f in zip(names, fired[i]) if f] == fired_names
 
 
+# A row's values as a caller may hand them in: each draw as the type.
+VALUE_TYPES = {
+    "float": float,
+    "float64": np.float64,
+    "float32": np.float32,
+    "float16": np.float16,
+    "int": lambda v: int(round(v)),
+}
+
+
+class TestRowValueTypes:
+    """``predict_with_members`` reads a row's values as floats, so any
+    value type scores with the bits ``predict_one`` and ``predict_dataset``
+    give the same values."""
+
+    @pytest.mark.parametrize("as_type", VALUE_TYPES.values(), ids=VALUE_TYPES)
+    @pytest.mark.parametrize("mode", ["boosting", "bagging"])
+    @pytest.mark.parametrize("kind", ["mean", "ridge", "tree"])
+    def test_every_value_type_scores_as_floats(self, kind, mode, as_type):
+        ds = nested_routes()
+        specs = [SubsetSpec(name, tuple(name)) for name in ("a", "ab", "ac", "abc")]
+        model = train_proposed(ds, specs, LearnerConfig(kind=kind), mode)
+        rng = np.random.default_rng(6)
+        for draw in rng.normal(size=(25, 3)) * 3.0:
+            for present in ("a", "ab", "ac", "abc"):
+                row = {s: as_type(v) for s, v in zip("abc", draw) if s in present}
+                value, names = model.predict_with_members(row)
+
+                cells = [[float(row.get(s, np.nan)) for s in "abc"]]
+                values, fired = model.predict_dataset(Dataset(tuple("abc"), cells))
+                assert names == [m.name for m, f in zip(model.members, fired[0]) if f]
+                one = 0.0
+                for member in model.members:
+                    if member.name in names:
+                        x = [row[s] for s in member.features]
+                        one += member.learner.predict_one(x)
+                if mode == "bagging":
+                    one /= len(names)
+                assert type(value) is float
+                assert value == values[0] == one, (present, row)
+
+
 class TestConventional:
     def test_toy6_has_no_complete_cases(self, toy6):
         with pytest.raises(EmptyTrainingSet):
