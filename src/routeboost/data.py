@@ -9,7 +9,8 @@ Presence is kept as one bit per cell: ``_pack_rows`` packs each row's bits
 into the smallest unsigned word that holds them (1, 2, 4 or 8 bytes, and
 8-byte words past 64 signals), so a row never takes more bytes than its
 bool row would. A dataset tests rows on these words and finds its
-availability patterns by sorting them as integers.
+availability patterns by sorting them as integers; it keeps no bool
+matrix of its presence.
 
 CSV format: UTF-8, header line of signal names, comma separator, ``.``
 decimal point, empty field = missing value, LF or CRLF line endings.
@@ -86,12 +87,12 @@ class Dataset:
     be ``None`` for feature-only tables (e.g. prediction inputs or
     projections that drop the target).
 
-    Its presence is packed into row words (``_pack_rows``) on the first
+    A cell is present where it is not NaN, ``~np.isnan(values)``. That
+    presence is packed into row words (``_pack_rows``) on the first
     question about it, and kept: a row takes 1 byte up to 8 signals, 2 up
-    to 16, 4 up to 32, 8 up to 64, then 8 per 64.
-    ``rows_with``, ``present_signals`` and ``availability_patterns`` read
-    these words; only ``availability_mask`` unpacks them into a bool
-    matrix, which it then keeps too.
+    to 16, 4 up to 32, 8 up to 64, then 8 per 64. ``rows_with``,
+    ``present_signals`` and ``availability_patterns`` read these words;
+    a dataset keeps only them and its distinct patterns.
     """
 
     signals: tuple[SignalId, ...]
@@ -132,21 +133,6 @@ class Dataset:
         return words
 
     @cached_property
-    def _mask(self) -> np.ndarray:
-        mask = _unpack(_row_keys(self._words), len(self.signals))
-        mask.flags.writeable = False
-        return mask
-
-    def availability_mask(self) -> np.ndarray:
-        """Boolean (n_rows, n_signals) matrix, True where a cell is present.
-
-        It is unpacked from the row words on the first call, which costs
-        n_rows * n_signals bytes for as long as the dataset lives, and the
-        same read-only array is returned by every later one.
-        """
-        return self._mask
-
-    @cached_property
     def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
         keys, counts = np.unique(_row_keys(self._words), return_counts=True)
         patterns = _unpack(keys, len(self.signals))
@@ -154,10 +140,10 @@ class Dataset:
         return patterns, counts
 
     def availability_patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(patterns, counts)``: each distinct row of ``availability_mask()``
-        once, as a read-only bool (n_patterns, n_signals) matrix in an
-        unspecified but fixed order, and the read-only number of rows
-        showing each, which sum to n_rows.
+        """``(patterns, counts)``: each distinct row of presence once, as a
+        read-only bool (n_patterns, n_signals) matrix in an unspecified
+        but fixed order, and the read-only number of rows showing each,
+        which sum to n_rows.
 
         A copy of the row words is sorted once, on the first call, and its
         runs counted; every summary of the missingness structure reduces

@@ -139,12 +139,13 @@ class EnsembleModel:
     ) -> tuple[float, list[str]]:
         """Prediction plus the names of the members that produced it.
 
-        A NaN value marks its signal absent, as a NaN cell does in a
-        ``Dataset``. The applicable members' scores are summed in member
-        order from 0.0, each by its learner's row kernel on the values
-        picked from ``row``, which it reads as floats whatever their type.
+        A NaN or ``None`` value marks its signal absent, as a NaN cell
+        does in a ``Dataset`` and ``None`` in ``dataset_from_columns``.
+        The applicable members' scores are summed in member order from
+        0.0, each by its learner's row kernel on the values picked from
+        ``row``, which it reads as floats whatever their type.
         """
-        present = {s for s, v in row.items() if v == v}  # NaN != NaN
+        present = {s for s, v in row.items() if v is not None and v == v}  # NaN != NaN
         total = 0.0
         names = []
         for need, name, pick, score in self._scoring:

@@ -4,7 +4,10 @@ Three kinds: a mean predictor, ridge-regularized least squares solved
 via the normal equations on centered data (intercept unpenalized), and
 a depth-limited regression tree with greedy variance-reduction splits.
 Fitting is deterministic: identical values, whatever their memory
-layout, produce bit-identical parameters.
+layout, produce bit-identical parameters. ``TreeLearner`` refuses a node
+reached on two paths, so every walk of a tree meets each node once, and
+one preorder builder (``_from_preorder``) serves fitting, reading and
+writing.
 
 Each learner's ``_score_row(xs)`` is its one per-row kernel: it takes
 any indexable sequence of the values in feature order, reads each value
@@ -81,15 +84,10 @@ TreeNode = Union[Leaf, Split]
 
 def _nodes(root: TreeNode) -> Iterator[TreeNode]:
     """The nodes under ``root`` in preorder, each split before its left
-    subtree; a node that two splits share (only a hand-built tree can
-    share one) is yielded once, on its first path."""
+    subtree."""
     stack = [root]
-    seen: set[int] = set()
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
         yield node
         if isinstance(node, Split):
             stack += [node.right, node.left]
@@ -152,8 +150,14 @@ class TreeLearner(_RowScorer):
     kind = "tree"
 
     def __post_init__(self) -> None:
+        # A node reached on two paths is refused, as the writer and the
+        # reader refuse one; the walk stops there, so it visits each once.
         n = len(self.features)
+        walked: set[int] = set()  # ids of the nodes walked so far
         for node in _nodes(self.root):
+            if id(node) in walked:
+                raise ValueError("tree shares a node between two paths")
+            walked.add(id(node))
             if isinstance(node, Split) and node.feature not in range(n):
                 raise ValueError(f"tree splits on feature {node.feature} of {n}")
 
@@ -463,13 +467,14 @@ def _fit_tree(
     return TreeLearner(names, _from_preorder(preorder))
 
 
-def _from_preorder(preorder: list) -> TreeNode:
-    """The tree whose nodes in preorder are ``preorder``, each a ``Leaf`` or
-    a split's ``(feature, threshold)``, built from the end back."""
-    built: list[TreeNode] = []
+def _from_preorder(preorder: list, split=Split):
+    """The tree whose nodes in preorder are ``preorder``, each a leaf or a
+    split's ``(feature, threshold)`` tuple, built from the end back by
+    ``split(feature, threshold, left, right)``."""
+    built: list = []
     for node in reversed(preorder):
-        if not isinstance(node, Leaf):
-            node = Split(*node, built.pop(), built.pop())
+        if isinstance(node, tuple):
+            node = split(*node, built.pop(), built.pop())
         built.append(node)
     return built.pop()
 
@@ -511,27 +516,17 @@ def _tree_from_dict(params: dict) -> TreeNode:
 
 def _tree_to_dict(root: TreeNode) -> dict:
     """``dataclasses.asdict(root)``, the same nested dicts with the same
-    key order, written from an explicit stack without copying scalars.
-
-    A node that two splits share raises ValueError, as it does in the
-    reader: it would be written once per path."""
-    out: dict = {}
-    stack = [(root, out)]
-    written: set[int] = set()  # ids of the nodes written so far
-    while stack:
-        node, d = stack.pop()
-        if id(node) in written:
-            raise ValueError("tree shares a node document between two paths")
-        written.add(id(node))
-        if isinstance(node, Leaf):
-            d.update(value=node.value, n_rows=node.n_rows)
-        else:
-            left, right = {}, {}
-            d.update(
-                feature=node.feature, threshold=node.threshold, left=left, right=right
-            )
-            stack += [(node.left, left), (node.right, right)]
-    return out
+    key order, built as ``_from_preorder`` builds a tree."""
+    preorder = [
+        (node.feature, node.threshold)
+        if isinstance(node, Split)
+        else {"value": node.value, "n_rows": node.n_rows}
+        for node in _nodes(root)
+    ]
+    return _from_preorder(
+        preorder,
+        lambda f, t, left, right: dict(feature=f, threshold=t, left=left, right=right),
+    )
 
 
 def learner_to_dict(learner: FittedLearner) -> dict:

@@ -1,9 +1,9 @@
-"""Reference presence and missingness summaries, read from the bool mask alone.
+"""Reference presence and missingness summaries, read from the values alone.
 
 ``routeboost.data`` keeps a dataset's presence as packed row words and
 ``routeboost.analysis`` reduces the distinct patterns found by sorting
-them. These functions read only ``availability_mask()`` (which tests
-compare with ``~np.isnan(values)``) and use NumPy's own row sort,
+them. These functions read presence from its definition, a cell that is
+not NaN (``presence``), and use NumPy's own row sort,
 ``np.unique(axis=0)``, and column gathers; the package must return
 exactly what they return, compared with ``==``.
 """
@@ -18,18 +18,23 @@ from routeboost.analysis import RoutePattern, SignalGroup, check_groups
 from routeboost.data import AvailabilityPattern, Dataset, SignalId
 
 
+def presence(dataset: Dataset) -> np.ndarray:
+    """Bool (n_rows, n_signals): True where a cell is present."""
+    return ~np.isnan(dataset.values)
+
+
 def rows_with(dataset: Dataset, signals: Iterable[SignalId]) -> np.ndarray:
     idx = [dataset.index(s) for s in signals]
-    return dataset.availability_mask()[:, idx].all(axis=1)
+    return presence(dataset)[:, idx].all(axis=1)
 
 
 def present_signals(dataset: Dataset, row: int) -> set[SignalId]:
-    return {s for s, ok in zip(dataset.signals, dataset.availability_mask()[row]) if ok}
+    return {s for s, ok in zip(dataset.signals, presence(dataset)[row]) if ok}
 
 
 def availability_patterns(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct mask rows, sorted, and the rows showing each."""
-    return np.unique(dataset.availability_mask(), axis=0, return_counts=True)
+    """The distinct presence rows, sorted, and the rows showing each."""
+    return np.unique(presence(dataset), axis=0, return_counts=True)
 
 
 def _count_patterns(
@@ -49,12 +54,12 @@ def _count_patterns(
 def pattern_summary(dataset: Dataset) -> list[AvailabilityPattern]:
     return [
         AvailabilityPattern(present, count)
-        for present, count in _count_patterns(dataset.availability_mask(), dataset.signals)
+        for present, count in _count_patterns(presence(dataset), dataset.signals)
     ]
 
 
 def infer_signal_groups(dataset: Dataset) -> list[SignalGroup]:
-    mask = dataset.availability_mask()
+    mask = presence(dataset)
     buckets: dict[bytes, list[SignalId]] = {}
     order: list[bytes] = []
     for j, signal in enumerate(dataset.signals):
@@ -69,7 +74,7 @@ def infer_signal_groups(dataset: Dataset) -> list[SignalGroup]:
 
 
 def always_available_signals(dataset: Dataset) -> set[SignalId]:
-    complete = dataset.availability_mask().all(axis=0)
+    complete = presence(dataset).all(axis=0)
     return {s for s, ok in zip(dataset.signals, complete) if ok}
 
 

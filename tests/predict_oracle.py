@@ -56,7 +56,7 @@ def evaluate(
     no_model: dict[str, int] = {s.name: 0 for s in order}
     skipped_missing_target = 0
     skipped_no_stratum = 0
-    mask = dataset.availability_mask()
+    mask = ~np.isnan(dataset.values)
     target_col = dataset.index(dataset.target)
     for i in range(dataset.n_rows):
         if not mask[i, target_col]:

@@ -391,29 +391,27 @@ class TestProject:
 
 
 class TestAvailabilityMask:
+    """Presence, a cell that is not NaN, as the row words answer for it."""
+
     def test_complete_dataset_all_true(self):
         ds = dataset_from_columns({"A": [1, 2], "Y": [3, 4]}, target="Y")
-        assert ds.availability_mask().all()
+        assert ds.rows_with(ds.signals).tolist() == [True, True]
+        patterns, counts = ds.availability_patterns()
+        assert patterns.tolist() == [[True, True]] and counts.tolist() == [2]
 
     def test_toy6_column(self, toy6):
-        mask = toy6.availability_mask()
-        assert mask[:, toy6.index("C")].tolist() == [True] * 3 + [False] * 3
+        assert toy6.rows_with(["C"]).tolist() == [True] * 3 + [False] * 3
 
     def test_zero_rows(self):
         ds = dataset_from_columns({"A": [], "Y": []}, target="Y")
-        assert ds.availability_mask().shape == (0, 2)
-
-    def test_cached_and_read_only(self, toy6):
-        mask = toy6.availability_mask()
-        assert toy6.availability_mask() is mask
-        assert not mask.flags.writeable
-        with pytest.raises(ValueError):
-            mask[0, 0] = False
+        assert ds.rows_with(ds.signals).shape == (0,)
+        patterns, counts = ds.availability_patterns()
+        assert patterns.shape == (0, 2) and counts.shape == (0,)
 
     def test_row_sums_match_present_counts(self, toy6):
-        mask = toy6.availability_mask()
+        present = ~np.isnan(toy6.values)
         for i in range(toy6.n_rows):
-            assert mask[i].sum() == len(toy6.present_signals(i))
+            assert present[i].sum() == len(toy6.present_signals(i))
 
 
 class TestImmutability:
@@ -437,10 +435,10 @@ class TestImmutability:
         view = base[:]
         view.flags.writeable = False
         ds = Dataset(("a", "b"), view)
-        mask, (patterns, counts) = ds.availability_mask(), ds.availability_patterns()
+        patterns, counts = ds.availability_patterns()
         base[0, 1] = 2.0
         assert np.array_equal(ds.values, [[1.0, np.nan], [3.0, 4.0]], equal_nan=True)
-        assert mask.tolist() == (~np.isnan(ds.values)).tolist()
+        assert ds.rows_with(["b"]).tolist() == [False, True]
         assert counts.sum() == 2 and len(patterns) == 2
 
     @pytest.mark.parametrize(

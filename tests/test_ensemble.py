@@ -341,7 +341,8 @@ VALUE_TYPES = {
 class TestRowValueTypes:
     """``predict_with_members`` reads a row's values as floats, so any
     value type scores with the bits ``predict_one`` and ``predict_dataset``
-    give the same values."""
+    give the same values; a ``None`` value is absent, as it is in
+    ``dataset_from_columns``."""
 
     @pytest.mark.parametrize("as_type", VALUE_TYPES.values(), ids=VALUE_TYPES)
     @pytest.mark.parametrize("mode", ["boosting", "bagging"])
@@ -351,13 +352,15 @@ class TestRowValueTypes:
         specs = [SubsetSpec(name, tuple(name)) for name in ("a", "ab", "ac", "abc")]
         model = train_proposed(ds, specs, LearnerConfig(kind=kind), mode)
         rng = np.random.default_rng(6)
-        for draw in rng.normal(size=(25, 3)) * 3.0:
+        for i, draw in enumerate(rng.normal(size=(25, 3)) * 3.0):
             for present in ("a", "ab", "ac", "abc"):
                 row = {s: as_type(v) for s, v in zip("abc", draw) if s in present}
+                if i % 2:  # odd draws give their absent signals as None
+                    row.update((s, None) for s in "abc" if s not in present)
                 value, names = model.predict_with_members(row)
 
-                cells = [[float(row.get(s, np.nan)) for s in "abc"]]
-                values, fired = model.predict_dataset(Dataset(tuple("abc"), cells))
+                table = dataset_from_columns({s: [row.get(s)] for s in "abc"})
+                values, fired = model.predict_dataset(table)
                 assert names == [m.name for m, f in zip(model.members, fired[0]) if f]
                 one = 0.0
                 for member in model.members:
@@ -397,8 +400,7 @@ class TestConventional:
             for i in range(ds.n_rows)
             if ds.present_signals(i) - {"Y"} == wide_signals
         )
-        mask = ds.availability_mask()
-        assert mask.all(axis=1).sum() == n_wide
+        assert (~np.isnan(ds.values)).all(axis=1).sum() == n_wide
         assert len(model.members) == 1
         assert set(model.members[0].features) == wide_signals
 

@@ -369,16 +369,26 @@ class TestSerialization:
             for xi in X[:5]:
                 assert back.predict_one(xi) == model.predict_one(xi)
 
-    def test_tree_is_written_as_asdict_writes_it(self):
-        rng = np.random.default_rng(24)
-        X = rng.normal(size=(400, 3))
-        y = X @ rng.normal(size=3) + rng.normal(size=400)
-        model = fit(LearnerConfig(kind="tree", tree_max_depth=8, tree_min_leaf=1), X, y)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 14),
+        st.integers(1, 5),
+        st.integers(1, 400),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_tree_is_written_as_asdict_writes_it(
+        self, max_depth, min_leaf, n_rows, width, seed
+    ):
+        # The same keys in the same order; values rounded to 0-2 decimals
+        # have ties.
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_rows, width)).round(int(rng.integers(0, 3)))
+        y = X @ rng.normal(size=width) + rng.normal(size=n_rows)
+        config = LearnerConfig(kind="tree", tree_max_depth=max_depth, tree_min_leaf=min_leaf)
+        model = fit(config, X, y)
         root = learner_to_dict(model)["parameters"]["root"]
         assert json.dumps(root) == json.dumps(dataclasses.asdict(model.root))
-        # asdict writes a shared node once per path; the writer refuses it.
-        with pytest.raises(ValueError, match="shares a node"):
-            learner_to_dict(TreeLearner(("a",), chain_tree(5, shared=True)))
 
     def test_schema_shape(self):
         model = fit(LearnerConfig(kind="ridge"), [[1.0], [2.0]], [1.0, 2.0], ["a"])
@@ -563,21 +573,27 @@ class TestSplitHeight:
                 Split(0, 0.5, left, right)
 
     def test_shared_children_are_not_walked_per_path(self):
-        # 2**64 paths: only calls that visit each node once can finish.
-        tree = TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH, shared=True))
-        assert tree.depth() == MAX_TREE_DEPTH
-        assert tree.predict_one([1.0]) == 0.0
-        rows = np.array([[0.0], [0.5], [1.0], [-3.0]])
-        assert tree.predict_matrix(rows).tolist() == [tree.predict_one(r) for r in rows]
+        # 2**64 paths: only a check that visits each node once can finish,
+        # and it refuses the tree. The tree stays inside pytest.raises: its
+        # repr walks every path.
+        with pytest.raises(ValueError, match=r"^tree shares a node between two paths$"):
+            TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH, shared=True))
 
     def test_shared_children_are_listed_once_and_not_written(self):
-        # 2**64 paths: leaves() must list the one leaf, and the writer must
-        # refuse the tree, as the reader refuses a shared node document.
-        tree = TreeLearner(("a",), chain_tree(MAX_TREE_DEPTH, shared=True))
-        assert tree.leaves() == [Leaf(0.0, 1)]
-        assert len(learners._parameters(tree)) == MAX_TREE_DEPTH + 1
+        # A node reached on two paths is refused where the tree is built, so
+        # leaves() and the writer never meet one; the reader refuses a
+        # shared node document. Equal but distinct leaves are not shared.
+        leaf = Leaf(0.0, 1)
+        with pytest.raises(ValueError, match=r"^tree shares a node between two paths$"):
+            TreeLearner(("a",), Split(0, 0.5, Split(0, 0.0, leaf, Leaf(1.0, 1)), leaf))
+        tree = TreeLearner(("a",), Split(0, 0.5, Leaf(0.0, 1), Leaf(0.0, 1)))
+        assert tree.leaves() == [leaf, leaf]
+        doc = learner_to_dict(tree)
+        assert learner_from_dict(doc) == tree
+        node = doc["parameters"]["root"]["left"]
+        doc["parameters"]["root"]["right"] = node
         with pytest.raises(ValueError, match="tree shares a node document between two paths"):
-            learner_to_dict(tree)
+            learner_from_dict(doc)
 
 
 class TestHandBuiltLearners:

@@ -1,11 +1,10 @@
-"""A dataset's presence, held as packed row words, against the bool mask.
+"""A dataset's presence, held as packed row words, against its definition.
 
 Every presence question a ``Dataset`` answers is compared with
-``tests/analysis_oracle.py``, which reads ``availability_mask()`` alone,
-and that mask with ``~np.isnan(values)``, at widths on either side of
-each word size (``WORD_EDGES``). Then the memory the words hold, the
-memory pattern discovery takes, and that no pipeline stage unpacks the
-bool matrix.
+``tests/analysis_oracle.py``, which reads presence as ``~np.isnan(values)``
+and nothing else, at widths on either side of each word size
+(``WORD_EDGES``). Then the memory the words hold and the memory pattern
+discovery takes.
 """
 
 import gc
@@ -16,13 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routeboost.analysis import always_available_signals, infer_signal_groups
-from routeboost.analysis import pattern_summary, route_frequencies
-from routeboost.benchmark import train_proposed
-from routeboost.data import Dataset, load_dataset, unique_rows, write_csv
-from routeboost.ensemble import evaluate, train_conventional
-from routeboost.learners import LearnerConfig
-from routeboost.subsetting import StrategyOptions, build_subset_specs
+from routeboost.data import Dataset, unique_rows
 from routeboost.synthgen import GenSpec, default_layout, generate
 from tests import analysis_oracle
 from tests.conftest import WORD_EDGES
@@ -51,10 +44,6 @@ def pattern_counts(rows: np.ndarray, counts: np.ndarray) -> dict[bytes, int]:
 def test_presence_matches_the_mask_oracle(width, n_rows, seed):
     rng = np.random.default_rng(seed)
     ds = masked_table(rng, n_rows, width)
-    reference = Dataset(ds.signals, ds.values)  # unpacks its mask first
-    assert reference.availability_mask().tolist() == (~np.isnan(ds.values)).tolist()
-
-    # Words first: nothing below may rely on ds's own mask.
     picks = [[], list(ds.signals)] + [
         list(rng.choice(ds.signals, size=int(rng.integers(1, width + 1)), replace=False))
         for _ in range(3) if width
@@ -64,20 +53,16 @@ def test_presence_matches_the_mask_oracle(width, n_rows, seed):
     for wanted in picks:
         got = ds.rows_with(wanted)
         assert got.dtype == bool and got.shape == (n_rows,)
-        assert got.tolist() == analysis_oracle.rows_with(reference, wanted).tolist()
+        assert got.tolist() == analysis_oracle.rows_with(ds, wanted).tolist()
     for row in range(n_rows):
-        assert ds.present_signals(row) == analysis_oracle.present_signals(reference, row)
+        assert ds.present_signals(row) == analysis_oracle.present_signals(ds, row)
     patterns, counts = ds.availability_patterns()
     assert patterns.dtype == bool and patterns.shape == (len(counts), width)
-    want_rows, want_counts = analysis_oracle.availability_patterns(reference)
+    want_rows, want_counts = analysis_oracle.availability_patterns(ds)
     assert len(patterns) == len(want_rows)
     assert pattern_counts(patterns, counts) == pattern_counts(want_rows, want_counts)
 
-    mask = ds.availability_mask()
-    assert mask.dtype == bool and mask.shape == (n_rows, width)
-    assert mask.tolist() == reference.availability_mask().tolist()
-    assert ds.availability_mask() is mask and not mask.flags.writeable
-
+    mask = analysis_oracle.presence(ds)
     first, inverse = unique_rows(mask)
     assert np.array_equal(mask[first][inverse], mask)
     assert pattern_counts(mask[first], np.bincount(inverse, minlength=len(first))) == (
@@ -105,8 +90,8 @@ def per_row(measure, small: Dataset, large: Dataset) -> float:
 # The most traced bytes a row, gained or lost, that a first presence
 # question may keep beside the words. Small blocks that NumPy and the
 # interpreter keep or free (57-168 bytes each) land in one measurement
-# or the other at random; a cached bool mask would keep a byte a row for
-# every signal.
+# or the other at random; a cached bool matrix of presence would keep a
+# byte a row for every signal.
 OTHER_BYTES_PER_ROW = 0.5
 
 
@@ -168,45 +153,3 @@ def test_pattern_discovery_transient_is_pinned():
     small, large = plant(20_000), plant(40_000)
     assert per_row(peak, small, large) <= PATTERN_BYTES_PER_ROW
     assert peak(plant(20_000)) <= PATTERN_BYTES_PER_ROW * 20_000
-
-
-def test_pipeline_never_unpacks_the_mask(tmp_path, monkeypatch):
-    """Analysis, every subset strategy, both trainers, prediction,
-    evaluation and the CSV writer read the words alone."""
-
-    def unpack(dataset):
-        raise AssertionError("the bool availability mask was built")
-
-    monkeypatch.setattr(Dataset, "_mask", property(unpack))
-    path = tmp_path / "plant.csv"
-    write_csv(plant(2_000), path)
-    ds = load_dataset(path, "Y")
-    pattern_summary(ds)
-    always_available_signals(ds)
-    route_frequencies(ds, infer_signal_groups(ds))
-    layout = default_layout()
-    units = {u.name: [s.name for s in u.signals] for u in layout.units}
-    wide = next(r for r in layout.routes if r.name == "wide")
-    routes = StrategyOptions(
-        strategy="routes", groups=units, segments={"wide": list(wide.units)},
-        uncommon_policy="merge_common",
-    )
-    specs = {}
-    for name, options in [
-        ("grouped", StrategyOptions()), ("auto", StrategyOptions(strategy="auto")),
-        ("routes", routes),
-    ]:
-        specs[name], _ = build_subset_specs(ds, options)
-    # The narrow and balanced rows share the narrow route's signals.
-    assert [s.name for s in specs["routes"]] == ["wide", "uncommon"]
-    assert specs["routes"][1].features == ("PLTCM_1", "PLTCM_2", "CAL_1", "CAL_2")
-    for kind in ("ridge", "tree"):
-        config = LearnerConfig(kind=kind)
-        for mode in ("boosting", "bagging"):
-            model = train_proposed(ds, specs["grouped"], config, mode)
-            model.predict_dataset(ds)
-            evaluate(model, ds, specs["grouped"])
-        conventional = train_conventional(ds, config)
-        evaluate(conventional, ds, specs["auto"])
-    write_csv(ds, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()

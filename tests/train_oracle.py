@@ -39,7 +39,7 @@ def materialize(dataset: Dataset, spec: SubsetSpec) -> Dataset:
             raise UnknownSignal(f"subset {spec.name!r}: unknown signal {s!r}")
     wanted = set(spec.features) | {dataset.target}
     idx = [dataset.index(s) for s in dataset.signals if s in wanted]
-    rows = np.flatnonzero(dataset.availability_mask()[:, idx].all(axis=1))
+    rows = np.flatnonzero((~np.isnan(dataset.values[:, idx])).all(axis=1))
     if rows.size == 0:
         raise EmptySubset(f"subset {spec.name!r} has no complete rows")
     return dataset.project(wanted, rows)
@@ -145,7 +145,7 @@ def train_bagging(
 
 def complete_case_rows(dataset: Dataset) -> np.ndarray:
     """Rows with every signal (target included) present."""
-    return np.flatnonzero(dataset.availability_mask().all(axis=1))
+    return np.flatnonzero((~np.isnan(dataset.values)).all(axis=1))
 
 
 def train_conventional(dataset: Dataset, config: LearnerConfig) -> EnsembleModel:
