@@ -103,12 +103,6 @@ class BenchmarkReport:
         )
 
 
-def _fmt(value: float | None, undefined: str = "undef") -> str:
-    if value is None:
-        return undefined
-    return f"{value:.3f}"
-
-
 def format_comparison_table(arms: list[ArmReport], strata: list[str]) -> str:
     """Aligned text table: one row per method, MAE/R2 pair per stratum."""
     label_w = max(12, max(len(a.name) for a in arms) + 1)
@@ -129,11 +123,8 @@ def format_comparison_table(arms: list[ArmReport], strata: list[str]) -> str:
             continue
         cells = []
         for name in strata:
-            row = arm.metrics.stratum(name)
-            if row.n == 0:
-                cells.append(f"{'n/a':>{col_w}}{'n/a':>{col_w}} ")
-            else:
-                cells.append(f"{_fmt(row.mae):>{col_w}}{_fmt(row.r2):>{col_w}} ")
+            mae, r2 = arm.metrics.stratum(name).cells()
+            cells.append(f"{mae:>{col_w}}{r2:>{col_w}} ")
         lines.append(f"{arm.name:<{label_w}}|" + "|".join(cells))
     return "\n".join(lines)
 

@@ -203,6 +203,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     config.target = config.target or model.target
     dataset = _load_input(config)
+    if dataset.target != model.target:
+        raise InputError(
+            f"the model predicts {model.target!r}, not the target {dataset.target!r}"
+        )
     if args.strata:
         doc = read_json(args.strata, InputError, "malformed strata manifest")
         strata = _strata_from_manifest(doc)
@@ -217,12 +221,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = [row for _, row in metrics.strata] + [metrics.overall]
     width = max(10, max(len(n) for n in names) + 2)
     print("".ljust(8) + "".join(n.title().rjust(width) for n in names))
-    for label, pick in (
-        ("MAE", lambda r: "n/a" if r.mae is None else f"{r.mae:.3f}"),
-        ("R2", lambda r: ("n/a" if r.n == 0 else "undef") if r.r2 is None else f"{r.r2:.3f}"),
-        ("n", lambda r: str(r.n)),
-    ):
-        print(label.ljust(8) + "".join(pick(r).rjust(width) for r in rows))
+    cells = [r.cells() + (str(r.n),) for r in rows]
+    for k, label in enumerate(("MAE", "R2", "n")):
+        print(label.ljust(8) + "".join(c[k].rjust(width) for c in cells))
     print(
         f"skipped: {metrics.skipped_missing_target} missing target, "
         f"{metrics.skipped_no_stratum} without stratum, "

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -202,13 +202,15 @@ class Dataset:
             rows = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows))
             if rows.size and rows.dtype.kind not in "iu":
                 raise TypeError(f"row indices must be integers, got {rows.dtype}")
-            row_idx = np.sort(rows.astype(np.intp, copy=False))
-            first = np.ones(row_idx.size, dtype=bool)
-            first[1:] = row_idx[1:] != row_idx[:-1]
-            row_idx = row_idx[first]
+            # Sorted and checked in the caller's integer type, so an index past
+            # intp's range is named as given (np.unique would hash, then sort).
+            row_idx = np.sort(rows)
             if row_idx.size and (row_idx[0] < 0 or row_idx[-1] >= self.n_rows):
                 bad = row_idx[0] if row_idx[0] < 0 else row_idx[-1]
                 raise RowOutOfRange(f"row index {bad} outside [0, {self.n_rows})")
+            first = np.ones(row_idx.size, dtype=bool)
+            first[1:] = row_idx[1:] != row_idx[:-1]
+            row_idx = row_idx[first].astype(np.intp, copy=False)
         col_idx = [self.index(s) for s in cols]
         sub = self.values[np.ix_(row_idx, col_idx)]
         sub.flags.writeable = False  # a fresh array, so Dataset need not copy
@@ -248,15 +250,14 @@ def dataset_from_columns(
 _NOT_IN_NUMBERS = frozenset("_ \t\n\r\x0b\x0c")
 
 
-def _plain(text: str) -> bool:
-    return text.isascii() and not any(c in text for c in _NOT_IN_NUMBERS)
-
-
 def _parse_cell(field: str, line_no: int, col: str) -> float:
+    """The value of one field of line ``line_no``, column ``col``, NaN
+    when empty; MalformedCsv when it is not a finite number in the CSV
+    grammar. The csv.reader fallback and the test oracle read with it."""
     if field == "":
         return math.nan
     try:
-        # _plain's scans suit a block of text; a field is short.
+        # _split_block scans a block once per excluded character; a field is short.
         if not (field.isascii() and _NOT_IN_NUMBERS.isdisjoint(field)):
             raise ValueError
         value = float(field)
@@ -313,8 +314,9 @@ def _split_block(text: str, out: np.ndarray) -> bool:
     This splits the text the way csv.reader would, so it answers only
     for text with no quote, no CR outside a CRLF and no non-ASCII
     character, where every line has one field per column of ``out``
-    within ``csv.field_size_limit()``. Anything else, and any field that is not
-    a finite number, gives False and may leave ``out`` partly written.
+    within ``csv.field_size_limit()``. Anything else, and any field that
+    ``_parse_cell`` would refuse, gives False and may leave ``out``
+    partly written.
     """
     if '"' in text:
         return False
@@ -332,9 +334,10 @@ def _split_block(text: str, out: np.ndarray) -> bool:
         return False
     if out.shape[1] == 1 and not present.all():
         return False  # csv.reader reads a blank line as a record of no fields
-    # Commas are plain, and a CR was refused above.
+    # Commas are plain and a CR was refused above. Non-ASCII digits were
+    # refused when _field_presence encoded the text as ASCII.
     text = text.replace("\n", ",")
-    if not _plain(text):
+    if any(c in text for c in _NOT_IN_NUMBERS):
         return False
     try:
         parsed = np.fromiter(
@@ -348,35 +351,6 @@ def _split_block(text: str, out: np.ndarray) -> bool:
     flat.fill(np.nan)
     flat[present] = parsed
     return True
-
-
-def _parse_records(
-    reader: Iterator[list[str]], header: list[str], line_no: int, path: str | Path
-) -> Iterator[np.ndarray]:
-    """The float blocks of the records ``reader`` has left, the first of
-    them on line ``line_no``.
-
-    Each record is converted with ``_parse_cell`` as it is read, so the
-    first bad record raises, and the rows are flushed every block of
-    about ``CSV_BLOCK_FIELDS`` fields (``_block_rows`` records).
-    """
-    width = len(header)
-    block_rows = _block_rows(width)
-    rows: list[list[float]] = []
-    try:
-        for record in reader:
-            if len(record) != width:
-                raise MalformedCsv(
-                    f"{path}: line {line_no} has {len(record)} fields, expected {width}"
-                )
-            rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
-            line_no += 1
-            if len(rows) == block_rows:
-                yield np.array(rows)
-                rows = []
-    except csv.Error as exc:
-        raise MalformedCsv(f"{path}: line {line_no}: {exc}") from None
-    yield np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def _count_lines(fh: BinaryIO, chunk: int = 1 << 20) -> int:
@@ -423,13 +397,12 @@ def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], n
     A table has at most one row per line after the header, so its values
     are allocated once. The lines are read in blocks of about
     ``CSV_BLOCK_FIELDS`` fields (``_block_rows`` lines), and
-    ``_split_block`` writes each into its rows.
-    A block it cannot split, and the rest of the file after it, go
-    through csv.reader and ``_parse_records`` one record at a time,
-    field by field, and each converted block is copied into its rows.
-    An error names the first bad line and column in file order. A file
-    that grew after its lines were counted raises MalformedCsv; one that
-    shrank has its filled rows copied out.
+    ``_split_block`` writes each into its rows. From a block it cannot
+    split to the end of the file, csv.reader reads one record at a time
+    and ``_parse_cell`` converts it field by field into its row. An error
+    names the first bad line and column in file order. A file that grew
+    after its lines were counted raises MalformedCsv; one that shrank
+    has its filled rows copied out.
     """
     try:
         header = next(csv.reader(fh))
@@ -453,10 +426,19 @@ def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], n
     n_rows, block_rows = 0, _block_rows(len(header))
     while lines := list(islice(fh, block_rows)):
         if not _split_block("".join(lines), rows(n_rows, len(lines))):
-            reader = csv.reader(chain(lines, fh))
-            for block in _parse_records(reader, header, n_rows + 2, path):
-                rows(n_rows, len(block))[...] = block
-                n_rows += len(block)
+            try:
+                for record in csv.reader(chain(lines, fh)):
+                    line_no = n_rows + 2  # of this record: the header is line 1
+                    if len(record) != len(header):
+                        raise MalformedCsv(
+                            f"{path}: line {line_no} has {len(record)} fields, "
+                            f"expected {len(header)}"
+                        )
+                    row = [_parse_cell(f, line_no, c) for f, c in zip(record, header)]
+                    rows(n_rows, 1)[0] = row
+                    n_rows += 1
+            except csv.Error as exc:
+                raise MalformedCsv(f"{path}: line {n_rows + 2}: {exc}") from None
             break
         n_rows += len(lines)
     return header, values if n_rows == len(values) else values[:n_rows].copy()

@@ -326,6 +326,13 @@ class MetricRow:
     def to_dict(self) -> dict:
         return {"n": self.n, "mae": self.mae, "r2": self.r2, "n_no_model": self.n_no_model}
 
+    def cells(self) -> tuple[str, str]:
+        """The MAE and R-squared as report text: "n/a" twice when no row
+        was scored, else three decimals, and "undef" for an undefined R2."""
+        if self.n == 0:
+            return "n/a", "n/a"
+        return f"{self.mae:.3f}", "undef" if self.r2 is None else f"{self.r2:.3f}"
+
 
 @dataclass(frozen=True)
 class StratifiedMetrics:
@@ -377,11 +384,16 @@ def evaluate(
 
     R-squared uses each stratum's own target mean; a constant-target
     stratum reports it as undefined (None) while the MAE is still
-    computed. Stratum names must not repeat. A scored row whose
-    prediction is not finite, or metrics that overflow, raise NonFinite.
+    computed. The dataset's target must be the model's, and stratum
+    names must not repeat. A scored row whose prediction is not finite,
+    or metrics that overflow, raise NonFinite.
     """
     if dataset.target is None:
         raise ValueError("evaluate requires a dataset with a target")
+    if dataset.target != model.target:
+        raise ValueError(
+            f"the model predicts {model.target!r}, not the target {dataset.target!r}"
+        )
     names = [s.name for s in strata]
     for k, name in enumerate(names):
         if name in names[:k]:

@@ -293,6 +293,31 @@ class TestEvaluateCommand:
         text = capsys.readouterr().out
         assert "MAE" in text and "R2" in text
 
+    @pytest.mark.parametrize("target", ["D", "A"])
+    def test_target_other_than_the_models_exit_2(self, toy6_csv, tmp_path, capsys, target):
+        # D is present on half the rows and A on all; neither is what the model predicts.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(boosting(MEAN_MEMBER)), encoding="utf-8")
+        code = main(["evaluate", "--data", toy6_csv, "--model", str(model), "--target", target])
+        err = one_line_error(code, capsys)
+        assert f"the model predicts 'Y', not the target '{target}'" in err
+        assert "strata manifest" not in err
+
+    def test_target_coalesced_into_the_models(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        path.write_text("A,Y1,Y2\n1,2,\n2,,4\n3,6,\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(boosting(MEAN_MEMBER)), encoding="utf-8")
+        code = main(
+            [
+                "evaluate", "--data", str(path), "--model", str(model),
+                "--target", "Y1", "--coalesce", "Y=Y1,Y2",
+            ]
+        )
+        assert code == 0
+        n_row = capsys.readouterr().out.splitlines()[3]
+        assert n_row.split() == ["n", "3", "3"]
+
 
 class TestGenerate:
     def test_writes_csv(self, tmp_path, capsys):

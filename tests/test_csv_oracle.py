@@ -3,11 +3,12 @@
 ``data.write_csv`` must write the bytes ``tests/csv_oracle.py`` writes,
 and ``data.load_table`` must read the same values (compared as bytes)
 or raise the same exception type with the same message. The block size
-is cut to 3 records so that files span several blocks and malformed
-records land past the first one.
+is cut to 3 records (1 to 4 in the fallback property) so that files
+span several blocks and malformed records land past the first one.
 """
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,6 +154,44 @@ def test_quote_free_blocks_and_fallback_match_reference(monkeypatch, tmp_path, c
         assert isinstance(got[0], tuple)
     else:
         assert got[0] is MalformedCsv and error in got[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.integers(1, 5),
+    n_rows=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 4),
+    data_=st.data(),
+)
+def test_fallback_from_any_block_matches_reference(
+    tmp_path_factory, width, n_rows, seed, block, data_
+):
+    # One quoted body line sends its block and the rest of the file to
+    # csv.reader after the blocks before it were split into their rows.
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n_rows, width))
+    values[rng.random(values.shape) < 0.3] = np.nan
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    data.write_csv(Dataset(tuple(f"s{j}" for j in range(width)), values), path)
+    header, *body = path.read_text(encoding="utf-8").splitlines()
+    bad = data_.draw(st.none() | st.tuples(st.integers(0, n_rows - 1), st.integers(0, width - 1)))
+    if bad is not None:
+        fields = body[bad[0]].split(",")
+        fields[bad[1]] = "x"
+        body[bad[0]] = ",".join(fields)
+    line = data_.draw(st.integers(0, n_rows - 1))
+    body[line] = ",".join(
+        f if f.startswith('"') else f'"{f}"' for f in body[line].split(",")
+    )
+    path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+    with mock.patch.object(data, "_block_rows", lambda width: block):
+        got = outcome(data.load_table, path)
+    assert got == outcome(csv_oracle.load_table, path)
+    if bad is None:
+        assert got[1] == values.tobytes()
+    else:
+        assert got[0] is MalformedCsv and f"line {bad[0] + 2}, column 's{bad[1]}'" in got[1]
 
 
 @settings(max_examples=200, deadline=None)

@@ -171,12 +171,9 @@ class TestRoundTrip:
         values[rng.random(values.shape) < 0.3] = np.nan
         ds = Dataset(tuple(f"s{j}" for j in range(5)), values)
         monkeypatch.setattr(data, "CSV_BLOCK_FIELDS", 4)
-        # The rows of each block the writer formats and the reader splits
-        # or converts.
-        written, split, converted = [], [], []
-        unique_rows, split_block, parse_records = (
-            data.unique_rows, data._split_block, data._parse_records
-        )
+        # The rows of each block the writer formats and the reader splits.
+        written, split = [], []
+        unique_rows, split_block = data.unique_rows, data._split_block
 
         def spy_unique_rows(mask):
             written.append(len(mask))
@@ -186,14 +183,8 @@ class TestRoundTrip:
             split.append(len(out))
             return split_block(text, out)
 
-        def spy_parse_records(*args):
-            for block in parse_records(*args):
-                converted.append(len(block))
-                yield block
-
         monkeypatch.setattr(data, "unique_rows", spy_unique_rows)
         monkeypatch.setattr(data, "_split_block", spy_split_block)
-        monkeypatch.setattr(data, "_parse_records", spy_parse_records)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_csv(ds, new)
         csv_oracle.write_csv(ds, old)
@@ -204,10 +195,8 @@ class TestRoundTrip:
         got = load_table(new)
         assert got.values.tobytes() == csv_oracle.load_table(new).values.tobytes()
         assert got.values.tobytes() == values.tobytes()
-        if quoted:
-            assert split == [1] and max(converted) == 1 and sum(converted) == 7
-        else:
-            assert split == [1] * 7 and converted == []
+        # Quoted, the first block is refused and csv.reader reads the rest.
+        assert split == ([1] if quoted else [1] * 7)
 
 
 def quote_first_record(path):
@@ -231,17 +220,19 @@ class TestCsvMemory:
     and load_table 1.211 on the wide table: the reader fills one array
     of the table's size, and the rest of its peak is one block of text
     and its fields, so at 120k rows it reads 1.086. With the first body
-    line quoted, every record goes through csv.reader: 1.204 and 1.203,
-    and 1.134 on the wide table. Blocks of a fixed 4,096 rows read 0.413
-    (write), 1.938 (load), 1.311 (120k rows) and 1.742 (quoted) on the
-    plant, and 5.35, 12.33 and 6.95 on the wide table, which was one
-    block. tracemalloc sees only what goes through Python's and NumPy's
-    allocators.
+    line quoted, csv.reader reads every record and converts it into its
+    row, so the rest of the peak is the one block of lines the splitter
+    refused: 1.085 and 1.087, and 1.068 on the wide table (1.203 and
+    1.134 when each block of records was built as a second array and
+    copied in). Blocks of a fixed 4,096 rows read 0.413 (write), 1.938
+    (load), 1.311 (120k rows) and 1.742 (quoted) on the plant, and 5.35,
+    12.33 and 6.95 on the wide table, which was one block. tracemalloc
+    sees only what goes through Python's and NumPy's allocators.
     """
 
     WRITE_PEAK = 0.25
     LOAD_PEAK = 1.4
-    QUOTED_LOAD_PEAK = 1.35
+    QUOTED_LOAD_PEAK = 1.15
     LARGE_LOAD_PEAK = 1.2
 
     @pytest.fixture(scope="class")
@@ -380,6 +371,13 @@ class TestProject:
     def test_rows_out_of_range_with_repeats(self, toy6, rows):
         with pytest.raises(RowOutOfRange):
             toy6.project({"A"}, rows=rows)
+
+    def test_out_of_range_index_named_in_the_callers_type(self, toy6):
+        # Cast to intp first, 2**63 would read as -2**63.
+        with pytest.raises(RowOutOfRange, match=r"^row index 9223372036854775808 outside \[0, 6\)$"):
+            toy6.project({"A"}, rows=np.array([1, 2**63, 1], dtype=np.uint64))
+        sub = toy6.project({"A"}, rows=np.array([5, 0, 5], dtype=np.uint64))
+        assert sub.column("A").tolist() == [1.0, 6.0]
 
     def test_commutes_for_disjoint_selections(self, toy6):
         rows = [0, 2, 5]

@@ -481,6 +481,12 @@ class TestEvaluate:
         with np.errstate(all="ignore"), pytest.raises(NonFinite, match="overflow"):
             evaluate(model, ds, [SubsetSpec("all", ("a",))])
 
+    def test_target_other_than_the_models_rejected(self, toy6):
+        model = EnsembleModel("boosting", "Y", (constant_member("base", ("A",), 1.0),))
+        other = Dataset(toy6.signals, toy6.values, "C")
+        with pytest.raises(ValueError, match="the model predicts 'Y', not the target 'C'"):
+            evaluate(model, other, [SubsetSpec("all", ("A",))])
+
     def test_repeated_stratum_name_rejected(self, toy6):
         model = EnsembleModel("boosting", "Y", (constant_member("base", ("A",), 1.0),))
         strata = [SubsetSpec("s", ("A",)), SubsetSpec("t", ("C",)), SubsetSpec("s", ("A", "C"))]
