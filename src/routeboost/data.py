@@ -50,12 +50,17 @@ from .errors import (
 SignalId = str
 
 
-def _check_signal_name(name: str) -> str:
-    if not name:
-        raise MalformedCsv("empty signal name in header")
-    if "," in name or "\n" in name or "\r" in name:
-        raise MalformedCsv(f"signal name {name!r} contains a comma or newline")
-    return name
+def _check_signal_names(names: Sequence[SignalId]) -> None:
+    """DuplicateSignal when a name repeats, else MalformedCsv for a name
+    that is empty or holds a comma or newline."""
+    if len(set(names)) != len(names):
+        dupes = sorted({s for s in names if names.count(s) > 1})
+        raise DuplicateSignal(f"duplicated signals {dupes}")
+    for name in names:
+        if not name:
+            raise MalformedCsv("empty signal name")
+        if "," in name or "\n" in name or "\r" in name:
+            raise MalformedCsv(f"signal name {name!r} contains a comma or newline")
 
 
 def read_only_array(value) -> np.ndarray:
@@ -103,10 +108,7 @@ class Dataset:
         values = read_only_array(self.values)
         if values.ndim != 2 or values.shape[1] != len(self.signals):
             raise ValueError("values must be a 2-D array with one column per signal")
-        if len(set(self.signals)) != len(self.signals):
-            raise DuplicateSignal("signal names must be pairwise distinct")
-        for name in self.signals:
-            _check_signal_name(name)
+        _check_signal_names(self.signals)
         if self.target is not None and self.target not in self.signals:
             raise UnknownTarget(f"target {self.target!r} is not a signal")
         object.__setattr__(self, "values", values)
@@ -376,7 +378,8 @@ def load_table(path: str | Path) -> Dataset:
 
     The file is opened once in binary and its lines are counted, then
     rewound and read as text by ``_read_rows``; a stream that cannot be
-    rewound, such as a pipe, is read into memory first.
+    rewound, such as a pipe, is read into memory first. Every error of
+    reading names the file.
     """
     try:
         with open(path, "rb") as raw:
@@ -384,14 +387,16 @@ def load_table(path: str | Path) -> Dataset:
             n_lines = _count_lines(stream)
             stream.seek(0)
             with io.TextIOWrapper(stream, encoding="utf-8-sig", newline="") as fh:
-                header, values = _read_rows(fh, n_lines, path)
+                header, values = _read_rows(fh, n_lines)
     except UnicodeDecodeError as exc:
         raise MalformedCsv(f"{path}: not UTF-8 text ({exc})") from None
+    except (MalformedCsv, DuplicateSignal) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     values.flags.writeable = False  # nothing else holds it, so Dataset need not copy
     return Dataset(tuple(header), values)
 
 
-def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], np.ndarray]:
+def _read_rows(fh: TextIO, n_lines: int) -> tuple[list[str], np.ndarray]:
     """The header and the values of the CSV text ``fh`` of ``n_lines`` lines.
 
     A table has at most one row per line after the header, so its values
@@ -400,27 +405,23 @@ def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], n
     ``_split_block`` writes each into its rows. From a block it cannot
     split to the end of the file, csv.reader reads one record at a time
     and ``_parse_cell`` converts it field by field into its row. An error
-    names the first bad line and column in file order. A file that grew
-    after its lines were counted raises MalformedCsv; one that shrank
-    has its filled rows copied out.
+    names the first bad line and column in file order; ``load_table``
+    adds the file. A file that grew after its lines were counted raises
+    MalformedCsv; one that shrank has its filled rows copied out.
     """
     try:
         header = next(csv.reader(fh))
     except StopIteration:
-        raise MalformedCsv(f"{path}: empty file") from None
+        raise MalformedCsv("empty file") from None
     except csv.Error as exc:
-        raise MalformedCsv(f"{path}: line 1: {exc}") from None
-    if len(set(header)) != len(header):
-        dupes = sorted({s for s in header if header.count(s) > 1})
-        raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
-    for name in header:
-        _check_signal_name(name)
+        raise MalformedCsv(f"line 1: {exc}") from None
+    _check_signal_names(header)
     # A valid header is one line, and a record takes at least one more.
     values = np.empty((max(n_lines - 1, 0), len(header)))
 
     def rows(start: int, n: int) -> np.ndarray:
         if start + n > len(values):
-            raise MalformedCsv(f"{path}: the file changed while it was read")
+            raise MalformedCsv("the file changed while it was read")
         return values[start:start + n]
 
     n_rows, block_rows = 0, _block_rows(len(header))
@@ -431,14 +432,14 @@ def _read_rows(fh: TextIO, n_lines: int, path: str | Path) -> tuple[list[str], n
                     line_no = n_rows + 2  # of this record: the header is line 1
                     if len(record) != len(header):
                         raise MalformedCsv(
-                            f"{path}: line {line_no} has {len(record)} fields, "
+                            f"line {line_no} has {len(record)} fields, "
                             f"expected {len(header)}"
                         )
                     row = [_parse_cell(f, line_no, c) for f, c in zip(record, header)]
                     rows(n_rows, 1)[0] = row
                     n_rows += 1
             except csv.Error as exc:
-                raise MalformedCsv(f"{path}: line {n_rows + 2}: {exc}") from None
+                raise MalformedCsv(f"line {n_rows + 2}: {exc}") from None
             break
         n_rows += len(lines)
     return header, values if n_rows == len(values) else values[:n_rows].copy()
@@ -564,13 +565,11 @@ def coalesce_signals(
     """
     if not sources:
         raise ValueError("coalesce needs at least one source signal")
-    _check_signal_name(merged)
     src_idx = [dataset.index(s) for s in sources]
     source_set = set(sources)
     kept = [j for j, s in enumerate(dataset.signals) if s not in source_set]
     signals = [dataset.signals[j] for j in kept]
-    if merged in signals:
-        raise DuplicateSignal(f"merged signal {merged!r} already exists")
+    _check_signal_names([*signals, merged])
 
     block = dataset.values[:, src_idx]
     # fmax and fmin skip NaN: a row with one present source has no spread,

@@ -15,25 +15,31 @@ from pathlib import Path
 
 import numpy as np
 
-from routeboost.data import Dataset, _check_signal_name, _parse_cell
+from routeboost.data import Dataset, _check_signal_names, _parse_cell
 from routeboost.errors import DuplicateSignal, MalformedCsv
 
 
 def load_table(path: str | Path) -> Dataset:
-    """Read a CSV file into a target-less dataset."""
+    """Read a CSV file into a target-less dataset; every error names the file."""
+    try:
+        return _read(path)
+    except (MalformedCsv, DuplicateSignal) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _read(path: str | Path) -> Dataset:
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise MalformedCsv(f"{path}: empty file") from None
+            raise MalformedCsv("empty file") from None
         except csv.Error as exc:
-            raise MalformedCsv(f"{path}: line 1: {exc}") from None
+            raise MalformedCsv(f"line 1: {exc}") from None
         if len(set(header)) != len(header):
             dupes = sorted({s for s in header if header.count(s) > 1})
-            raise DuplicateSignal(f"{path}: duplicated signals {dupes}")
-        for name in header:
-            _check_signal_name(name)
+            raise DuplicateSignal(f"duplicated signals {dupes}")
+        _check_signal_names(header)
         rows = []
         line_no = 2  # of the record read next
         while True:
@@ -42,11 +48,10 @@ def load_table(path: str | Path) -> Dataset:
             except StopIteration:
                 break
             except csv.Error as exc:
-                raise MalformedCsv(f"{path}: line {line_no}: {exc}") from None
+                raise MalformedCsv(f"line {line_no}: {exc}") from None
             if len(record) != len(header):
                 raise MalformedCsv(
-                    f"{path}: line {line_no} has {len(record)} fields, "
-                    f"expected {len(header)}"
+                    f"line {line_no} has {len(record)} fields, expected {len(header)}"
                 )
             rows.append([_parse_cell(f, line_no, c) for f, c in zip(record, header)])
             line_no += 1

@@ -1020,14 +1020,15 @@ def ridge_member(weights):
 
 ROUTES = {"strategy": "routes", "groups": {"GA": ["A"], "GY": ["Y"]}}
 TOY_ARGS = ["--data", "{data}", "--target", "Y"]
+CSV_ARGS = ["analyze", "--data", "{csv}", "--target", "Y"]
 CONFIG_ARGS = ["--config", "{config}", *TOY_ARGS]
 PREDICT = ["predict", "--data", "{data}", "--model", "{model}", "--out", "{out}"]
 GENERATE = ["generate", "--out", "{out}", "--layout", "{layout}"]
 # Each case reaches one check of a setting, path or document that the
 # other tests leave out: (argv, documents, exit code, stderr line). In
-# argv and the message, {data} is the toy6 CSV, {out} an output path and
-# {config}, {model}, {layout} or {strata} the file that holds that
-# document. A bad strategy or uncommon_policy stops analyze too, which
+# argv and the message, {data} is the toy6 CSV, {out} an output path,
+# {csv} a file of the given text and {config}, {model}, {layout} or
+# {strata} the file that holds that document. A bad strategy or uncommon_policy stops analyze too, which
 # builds no subsets.
 MALFORMED_INPUTS = {
     "no-data": (["analyze", "--target", "Y"], {}, 2,
@@ -1055,6 +1056,16 @@ MALFORMED_INPUTS = {
     "coalesce-without-sources": (
         ["analyze", *TOY_ARGS, "--coalesce", "B=,"], {}, 2,
         "coalesce directive 'B=,' must look like NEW=A,B",
+    ),
+    "bad-cell": (
+        CSV_ARGS, {"csv": "A,B,Y\n1,2,3\n4,x,5\n"}, 2,
+        "{csv}: line 3, column 'B': unparsable number 'x'",
+    ),
+    "empty-signal-name": (
+        CSV_ARGS, {"csv": "A,,Y\n1,2,3\n"}, 2, "{csv}: empty signal name",
+    ),
+    "repeated-signal-name": (
+        CSV_ARGS, {"csv": "A,A,Y\n1,2,3\n"}, 2, "{csv}: duplicated signals ['A']",
     ),
     "member-features": (
         PREDICT,
@@ -1169,8 +1180,9 @@ def test_malformed_input_exit_code_and_message(
 ):
     paths = {"data": toy6_csv, "out": str(tmp_path / "out")}
     for kind, doc in documents.items():
-        paths[kind] = str(tmp_path / f"{kind}.json")
-        Path(paths[kind]).write_text(json.dumps(doc), encoding="utf-8")
+        suffix, text = ("csv", doc) if kind == "csv" else ("json", json.dumps(doc))
+        paths[kind] = str(tmp_path / f"{kind}.{suffix}")
+        Path(paths[kind]).write_text(text, encoding="utf-8")
     exit_code = main([arg.format(**paths) for arg in argv])
     err = one_line_error(exit_code, capsys, expected=code)
     assert err == f"error: {message.format(**paths)}\n"

@@ -153,7 +153,7 @@ def test_quote_free_blocks_and_fallback_match_reference(monkeypatch, tmp_path, c
     if error is None:
         assert isinstance(got[0], tuple)
     else:
-        assert got[0] is MalformedCsv and error in got[1]
+        assert got[0] is MalformedCsv and got[1].startswith(f"{path}: ") and error in got[1]
 
 
 @settings(max_examples=150, deadline=None)

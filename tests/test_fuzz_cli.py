@@ -137,3 +137,5 @@ def test_mutated_inputs_end_in_one_line(inputs, tmp_path_factory, data):
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+    if role == "csv" and code == 2:
+        assert err.getvalue().startswith(f"error: {paths['csv']}: ")

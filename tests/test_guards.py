@@ -60,7 +60,7 @@ GUARDS = {
     ),
     "repeated-signal": (
         lambda toy: Dataset(("a", "a"), np.ones((1, 2))), DuplicateSignal,
-        "signal names must be pairwise distinct",
+        "duplicated signals ['a']",
     ),
     "target-not-a-signal": (
         lambda toy: Dataset(("a",), np.ones((1, 1)), "Z"), UnknownTarget,
