@@ -253,13 +253,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         layout = default_layout()
         dataset = generate(GenSpec(layout, args.rows, config.seed))
         if config.segments is None and config.strategy is None:
-            # Neither a flag nor the config names a strategy: route segments
-            # straight from the layout, one group per unit.
+            # Neither a flag nor the config names a strategy: the layout's routes.
             config.strategy = "routes"
-            config.groups = {
-                u.name: [s.name for s in u.signals] for u in layout.units
-            }
-            config.segments = {r.name: list(r.units) for r in layout.routes}
+            config.groups, config.segments = layout.route_strategy()
     else:
         dataset = _load_input(config)
 

@@ -51,8 +51,12 @@ SignalId = str
 
 
 def _check_signal_names(names: Sequence[SignalId]) -> None:
-    """DuplicateSignal when a name repeats, else MalformedCsv for a name
-    that is empty or holds a comma or newline."""
+    """TypeError for a name that is not a string, else DuplicateSignal
+    when a name repeats, else MalformedCsv for a name that is empty or
+    holds a comma or newline."""
+    for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"signal name {name!r} is not a string")
     if len(set(names)) != len(names):
         dupes = sorted({s for s in names if names.count(s) > 1})
         raise DuplicateSignal(f"duplicated signals {dupes}")
@@ -117,6 +121,12 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
+
+    def features(self, among: Iterable[SignalId] | None = None) -> tuple[SignalId, ...]:
+        """The signals other than the target, in column order; with
+        ``among``, only those among it."""
+        keep = set(self.signals if among is None else among) - {self.target}
+        return tuple(s for s in self.signals if s in keep)
 
     def index(self, signal: SignalId) -> int:
         try:

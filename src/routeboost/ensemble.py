@@ -172,17 +172,15 @@ class EnsembleModel:
         ``predict_matrix`` value for row i where it fired and 0.0
         elsewhere; each member's column is contiguous.
         """
-        columns = {
-            s: j for j, s in enumerate(dataset.signals) if s != dataset.target
-        }
+        features = set(dataset.features())
         fired = np.zeros((dataset.n_rows, len(self.members)), dtype=bool)
         contrib = np.zeros((len(self.members), dataset.n_rows)).T
         for k, member in enumerate(self.members):
-            if not set(member.features) <= columns.keys():
+            if not features.issuperset(member.features):
                 continue
             fired[:, k] = dataset.rows_with(member.features)
             rows = np.flatnonzero(fired[:, k])
-            X = dataset.values[np.ix_(rows, [columns[s] for s in member.features])]
+            X = dataset.values[np.ix_(rows, [dataset.index(s) for s in member.features])]
             contrib[:, k][rows] = member.learner.predict_matrix(X)
         return contrib, fired
 
@@ -264,11 +262,12 @@ def train_boosting_branched(
     """Boosting over subsets that all contain the narrowest one.
 
     Specs are ordered by (size, name); the first is the base, named
-    "base", and must be inside every other spec. Member k is fit against
-    every earlier member whose features it has, exactly those that fire
-    at its rows, so a chain trains as in ``train_boosting``. Two branches
-    that do not contain each other both fire on a row with both their
-    signals, each fit without the other's correction.
+    "base", and must be inside every other spec, and no other spec may be
+    named "base". Member k is fit against every earlier member whose
+    features it has, exactly those that fire at its rows, so a chain
+    trains as in ``train_boosting``. Two branches that do not contain
+    each other both fire on a row with both their signals, each fit
+    without the other's correction.
     """
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
@@ -285,6 +284,11 @@ def train_boosting_branched(
         for k, spec in enumerate(ordered)
     ]
     names = ["base"] + [spec.name for spec in ordered[1:]]
+    if "base" in names[1:]:
+        raise InvalidModel(
+            "two members would be named 'base': the narrowest subset "
+            f"{ordered[0].name!r} and the subset 'base'"
+        )
     members = _fit_members(dataset, ordered, parents, names, config)
     return EnsembleModel("boosting", dataset.target, members)
 
@@ -307,9 +311,9 @@ def train_conventional(dataset: Dataset, config: LearnerConfig) -> EnsembleModel
     """
     if dataset.target is None:
         raise ValueError("train_conventional requires a dataset with a target")
-    features = tuple(s for s in dataset.signals if s != dataset.target)
+    spec = SubsetSpec("conventional", dataset.features())
     try:
-        return train_bagging(dataset, [SubsetSpec("conventional", features)], config)
+        return train_bagging(dataset, [spec], config)
     except EmptySubset:
         raise EmptyTrainingSet("no row is free of missing values") from None
 

@@ -4,13 +4,16 @@ Two strategies produce subset specs: splitting by signal groups
 (one base subset over always-available signals plus one subset per
 incomplete group) and splitting by common production routes (one subset
 per route segment, derived automatically from route frequencies or given
-explicitly). Materializing a spec yields a dataset with zero missing
-cells; training rows additionally require a present target.
+explicitly). A spec's features are ``Dataset.features``: signals other
+than the target, in column order. Materializing a spec yields a dataset
+with zero missing cells; training rows additionally require a present
+target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,11 +69,6 @@ class RouteSegment:
             raise ValueError(f"segment {self.name!r} repeats a group")
 
 
-def _ordered_features(dataset: Dataset, wanted: set[SignalId]) -> tuple[SignalId, ...]:
-    # Canonical feature order is the dataset's signal order.
-    return tuple(s for s in dataset.signals if s in wanted)
-
-
 def subsets_by_grouped_signals(
     dataset: Dataset,
     groups: Sequence[SignalGroup],
@@ -87,18 +85,18 @@ def subsets_by_grouped_signals(
     """
     check_groups(dataset, groups)
     always = always_available_signals(dataset)
-    base = {s for s in always if s != dataset.target}
+    base = dataset.features(always)
     if not base:
         raise NoBaseSignals("no signal is available in every row")
-    specs = [SubsetSpec("base", _ordered_features(dataset, base))]
+    specs = [SubsetSpec("base", base)]
     k = 0
     for g in groups:
-        members = {s for s in g.members if s != dataset.target}
-        if not members or members <= always:
+        members = dataset.features(g.members)
+        if not members or always.issuperset(members):
             continue
         k += 1
-        feats = members | base if include_base_signals else members
-        specs.append(SubsetSpec(f"r{k}", _ordered_features(dataset, feats)))
+        feats = (*members, *base) if include_base_signals else members
+        specs.append(SubsetSpec(f"r{k}", dataset.features(feats)))
     return specs
 
 
@@ -127,7 +125,9 @@ def subsets_by_common_routes(
 
     Rows matching no spec are "uncommon": policy ``drop`` excludes them,
     ``merge_common`` adds one extra spec over the intersection of their
-    present signals when that intersection is non-empty.
+    present signals when that intersection is non-empty. Two specs of one
+    name, such as a segment named "uncommon" beside the merged spec, raise
+    ConfigError.
     """
     _check_route_options(min_support, uncommon_policy)
     check_groups(dataset, groups)
@@ -140,29 +140,23 @@ def subsets_by_common_routes(
         for seg in segments:
             if not seg.groups:
                 raise EmptySegment(f"segment {seg.name!r} lists no groups")
-            feats: set[SignalId] = set()
             for gname in seg.groups:
                 if gname not in by_name:
                     raise UnknownGroup(f"segment {seg.name!r}: unknown group {gname!r}")
-                feats.update(by_name[gname].members)
-            feats.discard(dataset.target)
+            feats = dataset.features(s for g in seg.groups for s in by_name[g].members)
             if not feats:
                 raise EmptySegment(f"segment {seg.name!r} covers no feature signals")
-            specs.append(SubsetSpec(seg.name, _ordered_features(dataset, feats)))
+            specs.append(SubsetSpec(seg.name, feats))
     else:
         routes = route_frequencies(dataset, groups)
         threshold = min_support * dataset.n_rows
         for route in routes:
             if route.count < threshold or not route.groups_present:
                 continue
-            feats = set()
-            for gname in route.groups_present:
-                feats.update(by_name[gname].members)
-            feats.discard(dataset.target)
-            if not feats:
-                continue
-            name = "+".join(sorted(route.groups_present))
-            specs.append(SubsetSpec(name, _ordered_features(dataset, feats)))
+            present = route.groups_present
+            feats = dataset.features(s for g in present for s in by_name[g].members)
+            if feats:
+                specs.append(SubsetSpec("+".join(sorted(present)), feats))
         if not specs and uncommon_policy == "drop":
             raise NoQualifyingRoutes(
                 f"no route reaches min_support={min_support} "
@@ -178,16 +172,14 @@ def subsets_by_common_routes(
             covered |= patterns[:, [dataset.index(s) for s in spec.features]].all(axis=1)
         uncommon = patterns[~covered]
         if len(uncommon):
-            common_cols = uncommon.all(axis=0)
-            feats = {
-                s
-                for s, ok in zip(dataset.signals, common_cols)
-                if ok and s != dataset.target
-            }
+            feats = dataset.features(compress(dataset.signals, uncommon.all(axis=0)))
             if feats:
-                specs.append(SubsetSpec("uncommon", _ordered_features(dataset, feats)))
+                specs.append(SubsetSpec("uncommon", feats))
     if not specs:
         raise NoQualifyingRoutes("route subsetting produced no subsets")
+    for k, spec in enumerate(specs):
+        if spec.name in (s.name for s in specs[:k]):
+            raise ConfigError(f"two route subsets are named {spec.name!r}")
     return specs
 
 

@@ -137,17 +137,15 @@ class PlantLayout:
     def signal_names(self) -> list[SignalId]:
         return [sig.name for unit in self.units for sig in unit.signals]
 
-    def unit(self, name: str) -> Unit:
-        for unit in self.units:
-            if unit.name == name:
-                return unit
-        raise InvalidLayout(f"unknown unit {name!r}")
-
     def route_signals(self, route: Route) -> set[SignalId]:
-        out: set[SignalId] = set()
-        for name in route.units:
-            out.update(sig.name for sig in self.unit(name).signals)
-        return out
+        """The signals of the units a route visits: those its rows get a value in."""
+        return {sig.name for u in self.units if u.name in route.units for sig in u.signals}
+
+    def route_strategy(self) -> tuple[dict[str, list[SignalId]], dict[str, list[str]]]:
+        """``(groups, segments)`` for the routes strategy: one group per unit,
+        of its signals, and one segment per route, of the units it visits."""
+        groups = {u.name: [sig.name for sig in u.signals] for u in self.units}
+        return groups, {r.name: list(r.units) for r in self.routes}
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,6 @@ def default_layout() -> PlantLayout:
     return layout
 
 
-def _route_draws(layout: PlantLayout, route: Route) -> list[SignalSpec]:
-    """The signals a route's rows draw, in unit order."""
-    traversed = set(route.units)
-    return [sig for unit in layout.units if unit.name in traversed for sig in unit.signals]
-
-
 # Rows per random stream: block b of a table with seed s draws from
 # ``Generator(Philox(key=(s << 64) | b))``. Part of the stream's definition.
 _BLOCK_ROWS = 1024
@@ -252,10 +244,11 @@ def generate(spec: GenSpec) -> Dataset:
     t = col_index[target]
     normal_cols = [j for j, sig in enumerate(signals) if sig.dist[0] == "normal"] + [t]
     uniform_cols = [j for j, sig in enumerate(signals) if sig.dist[0] == "uniform"]
-    # Per route, the columns its rows get a value in.
-    drawn = np.zeros((len(layout.routes), len(columns)), dtype=bool)
-    for r, route in enumerate(layout.routes):
-        drawn[r, [col_index[sig.name] for sig in _route_draws(layout, route)] + [t]] = True
+    # Per route, the signals its rows draw, in column order, and the
+    # columns its rows get a value in.
+    visits = [layout.route_signals(route) | {target} for route in layout.routes]
+    draws = [[sig for sig in signals if sig.name in visited] for visited in visits]
+    drawn = np.array([[name in visited for name in columns] for visited in visits])
     cum = np.cumsum([r.probability for r in layout.routes])
     values = np.empty((spec.n_rows, len(columns)))
     route_of = np.empty(spec.n_rows, dtype=np.intp)
@@ -280,10 +273,10 @@ def generate(spec: GenSpec) -> Dataset:
     rule = layout.target_rule
     coeffs = rule.coefficients
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, route in enumerate(layout.routes):
+        for r, route_draws in enumerate(draws):
             rows = np.flatnonzero(route_of == r)
             total = np.full(rows.size, rule.intercept, dtype=np.float64)
-            for sig in _route_draws(layout, route):
+            for sig in route_draws:
                 j = col_index[sig.name]
                 kind, first, second = sig.dist
                 # mean + sd * z, or lo + (hi - lo) * u

@@ -93,7 +93,6 @@ def route_plant(routes: dict[str, tuple[int, ...]], n_rows: int, seed: int):
     )
     layout.validate()
     dataset = generate(GenSpec(layout, n_rows, seed))
-    groups = {u.name: [s.name for s in u.signals] for u in units}
-    segments = {name: [f"u{i}" for i in visited] for name, visited in routes.items()}
-    specs, _ = build_subset_specs(dataset, StrategyOptions("routes", groups, segments))
+    options = StrategyOptions("routes", *layout.route_strategy())
+    specs, _ = build_subset_specs(dataset, options)
     return dataset, specs

@@ -38,11 +38,7 @@ RIDGE = LearnerConfig(kind="ridge")
 
 
 def steel_options(layout):
-    return StrategyOptions(
-        strategy="routes",
-        groups={u.name: [s.name for s in u.signals] for u in layout.units},
-        segments={r.name: list(r.units) for r in layout.routes},
-    )
+    return StrategyOptions("routes", *layout.route_strategy())
 
 
 def train_steel_chain(n, seed):

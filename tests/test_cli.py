@@ -36,10 +36,7 @@ def steel_csv(tmp_path):
 
 
 def steel_flags():
-    layout = default_layout()
-    groups = {u.name: [s.name for s in u.signals] for u in layout.units}
-    segments = {r.name: list(r.units) for r in layout.routes}
-    return groups, segments
+    return default_layout().route_strategy()
 
 
 class TestAnalyze:
@@ -1000,7 +997,10 @@ def test_train_segment_named_base_exit_1(tmp_path, capsys):
         ]
     )
     err = one_line_error(code, capsys, expected=1)
-    assert err == "error: two members are named 'base'\n"
+    assert err == (
+        "error: two members would be named 'base': the narrowest subset 'x' "
+        "and the subset 'base'\n"
+    )
     assert not model.exists()
 
 
@@ -1020,6 +1020,11 @@ def ridge_member(weights):
 
 ROUTES = {"strategy": "routes", "groups": {"GA": ["A"], "GY": ["Y"]}}
 TOY_ARGS = ["--data", "{data}", "--target", "Y"]
+# toy6's rows with D are on no segment, so merge_common adds an "uncommon" subset.
+MERGED_UNCOMMON = {
+    "strategy": "routes", "groups": {"GA": ["A"], "GC": ["C"]},
+    "segments": {"uncommon": ["GA", "GC"]}, "uncommon_policy": "merge_common",
+}
 CSV_ARGS = ["analyze", "--data", "{csv}", "--target", "Y"]
 CONFIG_ARGS = ["--config", "{config}", *TOY_ARGS]
 PREDICT = ["predict", "--data", "{data}", "--model", "{model}", "--out", "{out}"]
@@ -1110,6 +1115,14 @@ MALFORMED_INPUTS = {
         ["subset", *CONFIG_ARGS],
         {"config": dict(ROUTES, segments={"s": ["GA", "GB"]})}, 2,
         "segment 's': unknown group 'GB'",
+    ),
+    "segment-named-like-the-merged-subset": (
+        ["subset", *CONFIG_ARGS], {"config": MERGED_UNCOMMON}, 2,
+        "two route subsets are named 'uncommon'",
+    ),
+    "segment-named-like-the-merged-subset-bagging": (
+        ["train", "--mode", "bagging", *CONFIG_ARGS, "--model-out", "{out}"],
+        {"config": MERGED_UNCOMMON}, 2, "two route subsets are named 'uncommon'",
     ),
     "routes-without-segments": (
         ["subset", *CONFIG_ARGS],

@@ -132,6 +132,21 @@ class TestBranchedBoosting:
         with pytest.raises(NotNested):
             train_boosting_branched(toy6, specs, RIDGE)
 
+    def test_wider_subset_named_base_refused_before_fitting(self, toy6, monkeypatch):
+        """The narrowest subset becomes member "base", so a wider subset of
+        that name would repeat it; no member is fit first."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr("routeboost.ensemble.fit", no_fit)
+        specs = [SubsetSpec("base", ("A", "C")), SubsetSpec("narrow", ("A",))]
+        with pytest.raises(InvalidModel) as raised:
+            train_boosting_branched(toy6, specs, RIDGE)
+        assert str(raised.value) == (
+            "two members would be named 'base': the narrowest subset 'narrow' "
+            "and the subset 'base'"
+        )
+
     @pytest.mark.parametrize("kind", ["ridge", "tree"])
     def test_chain_trains_as_train_boosting(self, kind):
         config = LearnerConfig(kind=kind)

@@ -61,10 +61,11 @@ def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("valid")
     layout = default_layout()
     write_csv(generate(GenSpec(layout, 60, 5)), tmp / "plant.csv")
+    groups, segments = layout.route_strategy()
     config = {
         "strategy": "routes",
-        "groups": {u.name: [s.name for s in u.signals] for u in layout.units},
-        "segments": {r.name: list(r.units) for r in layout.routes},
+        "groups": groups,
+        "segments": segments,
         "learner": {"kind": "tree", "tree_max_depth": 3, "tree_min_leaf": 2},
         "test_fraction": 0.5,
     }

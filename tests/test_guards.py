@@ -22,7 +22,6 @@ from routeboost.ensemble import (
 from routeboost.errors import (
     DuplicateSignal,
     EmptySegment,
-    InvalidLayout,
     RowOutOfRange,
     UnknownTarget,
 )
@@ -57,6 +56,22 @@ GUARDS = {
     "values-width": (
         lambda toy: Dataset(("a", "b"), np.ones((2, 1))), ValueError,
         "values must be a 2-D array with one column per signal",
+    ),
+    "zero-signal-name": (
+        lambda toy: Dataset((0,), np.ones((1, 1))), TypeError,
+        "signal name 0 is not a string",
+    ),
+    "one-signal-name": (
+        lambda toy: Dataset((1,), np.ones((1, 1))), TypeError,
+        "signal name 1 is not a string",
+    ),
+    "none-signal-name": (
+        lambda toy: Dataset(("a", None), np.ones((1, 2))), TypeError,
+        "signal name None is not a string",
+    ),
+    "non-string-column-name": (
+        lambda toy: dataset_from_columns({0: [1.0]}), TypeError,
+        "signal name 0 is not a string",
     ),
     "repeated-signal": (
         lambda toy: Dataset(("a", "a"), np.ones((1, 2))), DuplicateSignal,
@@ -179,9 +194,6 @@ GUARDS = {
     "nested-chain-no-specs": (
         lambda toy: validate_nested_chain([]), ValueError,
         "a chain needs at least one subset",
-    ),
-    "unknown-unit": (
-        lambda toy: default_layout().unit("XYZ"), InvalidLayout, "unknown unit 'XYZ'",
     ),
 }
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from routeboost.analysis import SignalGroup, infer_signal_groups
 from routeboost.data import dataset_from_columns
 from routeboost.errors import (
+    ConfigError,
     DuplicateFeatureSet,
     EmptySubset,
     NoBaseSignals,
@@ -104,6 +105,32 @@ class TestCommonRoutes:
     def test_auto_names_join_sorted_groups(self, toy6):
         specs = subsets_by_common_routes(toy6, toy6_groups(), None, min_support=0.4)
         assert {s.name for s in specs} == {"A+C", "A+D"}
+
+    def test_segment_named_like_the_merged_subset(self, toy6):
+        """The rows with D are on no segment, so merge_common adds its own
+        "uncommon" subset beside the segment of that name."""
+        with pytest.raises(ConfigError, match="^two route subsets are named 'uncommon'$"):
+            subsets_by_common_routes(
+                toy6, toy6_groups(), [RouteSegment("uncommon", ("A", "C"))],
+                uncommon_policy="merge_common",
+            )
+
+    def test_auto_names_that_collide(self):
+        """Groups P and Q together, and the group named "P+Q" alone, both
+        join to the name "P+Q"."""
+        ds = dataset_from_columns(
+            {
+                "P": [1, 2, None, None],
+                "Q": [3, 4, None, None],
+                "R": [None, None, 5, 6],
+                "Y": [1, 2, 3, 4],
+            },
+            target="Y",
+        )
+        groups = [SignalGroup("P", ("P",)), SignalGroup("Q", ("Q",)),
+                  SignalGroup("P+Q", ("R",))]
+        with pytest.raises(ConfigError, match=r"^two route subsets are named 'P\+Q'$"):
+            subsets_by_common_routes(ds, groups, None, min_support=0.25)
 
 
 class TestMaterialize:

@@ -60,12 +60,10 @@ def assert_same(name, *args):
 def plant(n_rows, seed):
     layout = default_layout()
     ds = generate(GenSpec(layout, n_rows, seed))
-    groups = {u.name: [s.name for s in u.signals] for u in layout.units}
-    segments = {r.name: list(r.units) for r in layout.routes}
     spec_sets = {
         "grouped": build_subset_specs(ds, StrategyOptions())[0],
         "routes": build_subset_specs(
-            ds, StrategyOptions("routes", groups, segments)
+            ds, StrategyOptions("routes", *layout.route_strategy())
         )[0],
     }
     return ds, spec_sets
