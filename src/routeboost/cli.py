@@ -97,8 +97,7 @@ def _strata_from_manifest(manifest) -> list[SubsetSpec]:
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, vars(args))
+def cmd_analyze(config: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_input(config)
     groups = resolve_groups(dataset, config.groups)
     report = {
@@ -133,8 +132,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_subset(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, vars(args))
+def cmd_subset(config: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_input(config)
     specs, _ = build_subset_specs(dataset, config.strategy_options())
     manifest = _spec_manifest(dataset, specs)
@@ -148,8 +146,7 @@ def cmd_subset(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, vars(args))
+def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     dataset = _load_input(config)
     specs, _ = build_subset_specs(dataset, config.strategy_options())
     learner = config.learner_config()
@@ -169,8 +166,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, vars(args))
+def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(args.model)
     table = _load_input(config, need_target=False)
     out = config.predictions_out
@@ -198,8 +194,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, vars(args))
+def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(args.model)
     config.target = config.target or model.target
     dataset = _load_input(config)
@@ -234,8 +229,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    config = load_run_config(None, vars(args))
+def cmd_generate(config: RunConfig, args: argparse.Namespace) -> int:
     if args.layout:
         doc = read_json(args.layout, InvalidLayout, "malformed layout document")
         layout = layout_from_dict(doc)
@@ -247,8 +241,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config, vars(args))
+def cmd_benchmark(config: RunConfig, args: argparse.Namespace) -> int:
     if args.synthetic:
         layout = default_layout()
         dataset = generate(GenSpec(layout, args.rows, config.seed))
@@ -384,10 +377,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # One checked RunConfig per run: the --config file merged with the flags.
+        config = load_run_config(getattr(args, "config", None), vars(args))
         # Non-finite results are reported by the checks that find them,
         # not by NumPy warnings on the way.
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return args.func(config, args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,10 +43,10 @@ class RunConfig:
     target: str | None = None
     groups: dict[str, list[str]] | None = None
     segments: dict[str, list[str]] | None = None
-    strategy: str | None = None  # None: not named, so "grouped"
-    include_base_signals: bool = True
-    min_support: float = 0.05
-    uncommon_policy: str = "drop"
+    strategy: str | None = None  # None: not named, so StrategyOptions' default
+    include_base_signals: bool = StrategyOptions.include_base_signals
+    min_support: float = StrategyOptions.min_support
+    uncommon_policy: str = StrategyOptions.uncommon_policy
     learner: dict[str, Any] = field(default_factory=dict)
     mode: str = "boosting"
     seed: int = 0
@@ -59,14 +59,11 @@ class RunConfig:
     table_out: str | None = None
 
     def strategy_options(self) -> StrategyOptions:
-        return StrategyOptions(
-            strategy="grouped" if self.strategy is None else self.strategy,
-            groups=self.groups,
-            segments=self.segments,
-            include_base_signals=self.include_base_signals,
-            min_support=self.min_support,
-            uncommon_policy=self.uncommon_policy,
-        )
+        """The subsetting fields of the same names, checked."""
+        options = {k: getattr(self, k) for k in StrategyOptions.__dataclass_fields__}
+        if self.strategy is None:
+            del options["strategy"]
+        return StrategyOptions(**options)
 
     def learner_config(self) -> LearnerConfig:
         unknown = set(self.learner) - set(LearnerConfig.__dataclass_fields__)

@@ -75,14 +75,38 @@ class _Values:
         return [row[s] for s in self.features]
 
 
+def check_members(mode: str, target: SignalId, members: Sequence) -> None:
+    """Raise unless ``members``, in model order, can make a ``mode``
+    model of ``target``: a known mode, at least one member, in boosting
+    member 0's features inside every member's, distinct names, and no
+    member reading the target. A member is anything with ``name`` and
+    ``feature_set``, so trainers check their subsets before any fit.
+    """
+    if mode not in ENSEMBLE_MODES:
+        raise ValueError(f"unknown ensemble mode {mode!r}")
+    if not members:
+        raise ValueError("an ensemble needs at least one member")
+    if mode == "boosting":
+        for m in members[1:]:
+            if not members[0].feature_set <= m.feature_set:
+                raise NotNested(
+                    f"boosting needs the narrowest subset {members[0].name!r} "
+                    f"inside every other subset, but {m.name!r} does not contain "
+                    "it (bagging fits subsets that are not nested)"
+                )
+    names = [m.name for m in members]
+    for k, m in enumerate(members):
+        if m.name in names[:k]:
+            raise InvalidModel(f"two members are named {m.name!r}")
+        if target in m.feature_set:
+            raise InvalidModel(f"member {m.name!r} reads the target {target!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Ordered members plus the combination mode.
-
-    For boosting, member 0 is the base model and must use a subset of
-    every other member's features (each later member was fit against the
-    earlier ones whose features it has).
-    Member names are distinct and no member reads the target.
+    """Ordered members plus the combination mode; the members pass
+    ``check_members``. For boosting, member 0 is the base model, and each
+    later member was fit against the earlier ones whose features it has.
     """
 
     mode: str
@@ -90,25 +114,7 @@ class EnsembleModel:
     members: tuple[EnsembleMember, ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in ENSEMBLE_MODES:
-            raise ValueError(f"unknown ensemble mode {self.mode!r}")
-        if not self.members:
-            raise ValueError("an ensemble needs at least one member")
-        if self.mode == "boosting":
-            base = self.members[0].feature_set
-            for m in self.members[1:]:
-                if not base <= m.feature_set:
-                    raise NotNested(
-                        f"base features are not a subset of member {m.name!r}"
-                    )
-        names = [m.name for m in self.members]
-        for k, m in enumerate(self.members):
-            if m.name in names[:k]:
-                raise InvalidModel(f"two members are named {m.name!r}")
-            if self.target in m.feature_set:
-                raise InvalidModel(
-                    f"member {m.name!r} reads the target {self.target!r}"
-                )
+        check_members(self.mode, self.target, self.members)
         # The one-row scoring table, one entry per member in order:
         # (inputs, name, row mapping -> the inputs' values, row kernel).
         # Every entry pickles and deep-copies with the model.
@@ -261,9 +267,9 @@ def train_boosting_branched(
 ) -> EnsembleModel:
     """Boosting over subsets that all contain the narrowest one.
 
-    Specs are ordered by (size, name); the first is the base, named
-    "base", and must be inside every other spec, and no other spec may be
-    named "base". Member k is fit against every earlier member whose
+    Specs are ordered by (size, name) and pass ``check_members`` before
+    any fit; the first is the base, named "base", and no other spec may
+    be named "base". Member k is fit against every earlier member whose
     features it has, exactly those that fire at its rows, so a chain
     trains as in ``train_boosting``. Two branches that do not contain
     each other both fire on a row with both their signals, each fit
@@ -272,13 +278,7 @@ def train_boosting_branched(
     if not specs:
         raise ValueError("branched boosting needs at least one subset")
     ordered = sorted(specs, key=lambda s: (len(s.features), s.name))
-    for spec in ordered[1:]:
-        if not ordered[0].feature_set <= spec.feature_set:
-            raise NotNested(
-                f"boosting needs the narrowest subset {ordered[0].name!r} inside "
-                f"every other subset, but {spec.name!r} does not contain it "
-                "(bagging fits subsets that are not nested)"
-            )
+    check_members("boosting", dataset.target, ordered)
     parents = [
         [j for j in range(k) if ordered[j].feature_set <= spec.feature_set]
         for k, spec in enumerate(ordered)
@@ -299,6 +299,7 @@ def train_bagging(
     """Independent members, one per subset, each predicting the target."""
     if not specs:
         raise ValueError("bagging needs at least one subset")
+    check_members("bagging", dataset.target, specs)
     names = [spec.name for spec in specs]
     members = _fit_members(dataset, specs, [()] * len(specs), names, config)
     return EnsembleModel("bagging", dataset.target, members)

@@ -1005,7 +1005,7 @@ def test_train_segment_named_base_exit_1(tmp_path, capsys):
 
 
 def test_internal_error_exit_3(toy6_csv, monkeypatch, capsys):
-    def broken(args):
+    def broken(config, args):
         raise ZeroDivisionError("division by zero")
 
     monkeypatch.setattr("routeboost.cli.cmd_analyze", broken)
@@ -1082,6 +1082,13 @@ MALFORMED_INPUTS = {
         {"model": dict(boosting(MEAN_MEMBER), mode="stacking")}, 2,
         "malformed model: unknown ensemble mode 'stacking'",
     ),
+    "base-outside-a-member": (
+        PREDICT,
+        {"model": boosting(MEAN_MEMBER, dict(C_MEMBER, name="c"))}, 2,
+        "malformed model: boosting needs the narrowest subset 'base' inside every "
+        "other subset, but 'c' does not contain it (bagging fits subsets that are "
+        "not nested)",
+    ),
     "weights-not-a-list": (
         PREDICT,
         {"model": boosting(ridge_member(2.0))}, 2,
@@ -1131,6 +1138,10 @@ MALFORMED_INPUTS = {
     "unknown-strategy": (
         ["analyze", *CONFIG_ARGS],
         {"config": {"strategy": "bogus"}}, 2, "unknown strategy 'bogus'",
+    ),
+    "empty-strategy": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"strategy": ""}}, 2, "unknown strategy ''",
     ),
     "unknown-uncommon-policy": (
         ["analyze", *CONFIG_ARGS],

@@ -296,6 +296,43 @@ class TestPredict:
 
 
 class TestInvariants:
+    # Nested subsets that break a model invariant: (specs, the model's message).
+    BAD_SUBSETS = {
+        "repeated-name": (
+            [SubsetSpec("a", ("A",)), SubsetSpec("x", ("A", "B")),
+             SubsetSpec("x", ("A", "B", "C"))],
+            "two members are named 'x'",
+        ),
+        # Boosting names the narrowest subset "base", but its own name counts.
+        "narrowest-shares-a-name": (
+            [SubsetSpec("x", ("A",)), SubsetSpec("x", ("A", "B"))],
+            "two members are named 'x'",
+        ),
+        "reads-the-target": (
+            [SubsetSpec("a", ("A",)), SubsetSpec("t", ("A", "Y"))],
+            "member 't' reads the target 'Y'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SUBSETS)
+    @pytest.mark.parametrize(
+        "train", [train_boosting, train_boosting_branched, train_bagging],
+        ids=lambda train: train.__name__,
+    )
+    def test_bad_subsets_refused_before_fitting(self, train, case, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit was called")
+
+        monkeypatch.setattr("routeboost.ensemble.fit", no_fit)
+        ds = dataset_from_columns(
+            {"A": [1, 2, 3, 4], "B": [4, 1, 3, 2], "C": [2, 2, 5, 1], "Y": [1, 3, 2, 4]},
+            target="Y",
+        )
+        specs, message = self.BAD_SUBSETS[case]
+        with pytest.raises(InvalidModel) as raised:
+            train(ds, specs, RIDGE)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("mode", ["boosting", "bagging"])
     def test_repeated_member_name(self, mode):
         members = (constant_member("m", ("a",), 1.0), constant_member("m", ("a", "b"), 2.0))
