@@ -18,7 +18,6 @@ evaluation machinery applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,8 +48,8 @@ ENSEMBLE_MODES = ("boosting", "bagging")
 @dataclass(frozen=True)
 class EnsembleMember:
     """A named learner; ``feature_set`` is its features as a frozenset,
-    made once at construction. ``EnsembleModel`` puts it in its scoring
-    table as the member's per-row applicability test."""
+    made once at construction: the member fires on a row iff its
+    ``feature_set`` is inside the row's present signals."""
 
     name: str
     features: tuple[SignalId, ...]
@@ -64,23 +63,13 @@ class EnsembleMember:
         object.__setattr__(self, "feature_set", frozenset(self.features))
 
 
-@dataclass(frozen=True)
-class _Values:
-    """A row mapping's values of fewer than two features, as a list:
-    ``itemgetter`` returns a bare value for one key and refuses none."""
-
-    features: tuple[SignalId, ...]
-
-    def __call__(self, row: Mapping[SignalId, float]) -> list[float]:
-        return [row[s] for s in self.features]
-
-
 def check_members(mode: str, target: SignalId, members: Sequence) -> None:
     """Raise unless ``members``, in model order, can make a ``mode``
     model of ``target``: a known mode, at least one member, in boosting
-    member 0's features inside every member's, distinct names, and no
-    member reading the target. A member is anything with ``name`` and
-    ``feature_set``, so trainers check their subsets before any fit.
+    member 0's features inside every member's, distinct names, no member
+    repeating a feature and none reading the target. A member is
+    anything with ``name``, ``features`` and ``feature_set``, so
+    trainers check their subsets before any fit.
     """
     if mode not in ENSEMBLE_MODES:
         raise ValueError(f"unknown ensemble mode {mode!r}")
@@ -98,6 +87,8 @@ def check_members(mode: str, target: SignalId, members: Sequence) -> None:
     for k, m in enumerate(members):
         if m.name in names[:k]:
             raise InvalidModel(f"two members are named {m.name!r}")
+        if len(m.feature_set) != len(m.features):
+            raise InvalidModel(f"member {m.name!r} repeats a feature")
         if target in m.feature_set:
             raise InvalidModel(f"member {m.name!r} reads the target {target!r}")
 
@@ -115,19 +106,6 @@ class EnsembleModel:
 
     def __post_init__(self) -> None:
         check_members(self.mode, self.target, self.members)
-        # The one-row scoring table, one entry per member in order:
-        # (inputs, name, row mapping -> the inputs' values, row kernel).
-        # Every entry pickles and deep-copies with the model.
-        scoring = tuple(
-            (
-                m.feature_set,
-                m.name,
-                itemgetter(*m.features) if len(m.features) > 1 else _Values(m.features),
-                m.learner._score_row,
-            )
-            for m in self.members
-        )
-        object.__setattr__(self, "_scoring", scoring)
 
     def applicable_members(self, row_signals: set[SignalId]) -> list[int]:
         """Indices of members whose entire feature set is present.
@@ -136,9 +114,7 @@ class EnsembleModel:
         order, and in boosting any non-empty result holds the base. The
         target's presence is irrelevant.
         """
-        return [
-            i for i, (need, *_) in enumerate(self._scoring) if need <= row_signals
-        ]
+        return [i for i, m in enumerate(self.members) if m.feature_set <= row_signals]
 
     def predict_with_members(
         self, row: Mapping[SignalId, float]
@@ -148,16 +124,16 @@ class EnsembleModel:
         A NaN or ``None`` value marks its signal absent, as a NaN cell
         does in a ``Dataset`` and ``None`` in ``dataset_from_columns``.
         The applicable members' scores are summed in member order from
-        0.0, each by its learner's row kernel on the values picked from
-        ``row``, which it reads as floats whatever their type.
+        0.0, each by its learner's row kernel, which reads its inputs from
+        ``row`` by name, as floats whatever their type.
         """
         present = {s for s, v in row.items() if v is not None and v == v}  # NaN != NaN
         total = 0.0
         names = []
-        for need, name, pick, score in self._scoring:
-            if need <= present:
-                total += score(pick(row))
-                names.append(name)
+        for m in self.members:
+            if m.feature_set <= present:
+                total += m.learner._score_row(row, m.features)
+                names.append(m.name)
         if not names:
             raise NoApplicableModel("no member has all its inputs available")
         if self.mode == "bagging":

@@ -9,19 +9,18 @@ reached on two paths, so every walk of a tree meets each node once, and
 one preorder builder (``_from_preorder``) serves fitting, reading and
 writing.
 
-Each learner's ``_score_row(xs)`` is its one per-row kernel: it takes
-any indexable sequence of the values in feature order, reads each value
-it uses through ``float()``, as ``predict_matrix`` reads float64 columns,
-and checks nothing else. ``predict_one(x)`` runs it on ``x`` as
-``_check_arity`` converts it; ``predict_with_members`` on a row's values.
+Each learner's ``_score_row(xs, keys)`` is its one per-row kernel: it
+reads feature j as ``xs[keys[j]]``, each value it uses through
+``float()``, as ``predict_matrix`` reads float64 columns, and checks
+nothing else. ``predict_one(x)`` runs it on ``x`` as ``_check_arity``
+converts it, keyed by position; ``predict_with_members`` on a row
+mapping, keyed by the member's feature names.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -101,7 +100,8 @@ class _RowScorer:
         order from 0.0, then the intercept; a BLAS dot product or ``X @ w``
         would not, and neither would ``sum``, which compensates its
         rounding from Python 3.12 on."""
-        return self._score_row(_check_arity(x, self.features).tolist())
+        xs = _check_arity(x, self.features).tolist()
+        return self._score_row(xs, range(len(xs)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class MeanLearner(_RowScorer):
     value: float
     kind = "mean"
 
-    def _score_row(self, xs: Sequence[float]) -> float:
+    def _score_row(self, xs: Mapping | Sequence, keys: Sequence) -> float:
         return self.value
 
     def predict_matrix(self, X) -> np.ndarray:
@@ -131,9 +131,11 @@ class RidgeLearner(_RowScorer):
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
 
-    def _score_row(self, xs: Sequence[float]) -> float:
-        terms = map(operator.mul, map(float, xs), self._weight_list)
-        return float(self.intercept + reduce(operator.add, terms, 0.0))
+    def _score_row(self, xs: Mapping | Sequence, keys: Sequence) -> float:
+        acc = 0.0
+        for k, w in zip(keys, self._weight_list):
+            acc += float(xs[k]) * w
+        return float(self.intercept + acc)
 
     def predict_matrix(self, X) -> np.ndarray:
         X = _check_arity(X, self.features, 2)
@@ -161,10 +163,10 @@ class TreeLearner(_RowScorer):
             if isinstance(node, Split) and node.feature not in range(n):
                 raise ValueError(f"tree splits on feature {node.feature} of {n}")
 
-    def _score_row(self, xs: Sequence[float]) -> float:
+    def _score_row(self, xs: Mapping | Sequence, keys: Sequence) -> float:
         node = self.root
         while isinstance(node, Split):
-            left = float(xs[node.feature]) <= node.threshold
+            left = float(xs[keys[node.feature]]) <= node.threshold
             node = node.left if left else node.right
         return node.value
 

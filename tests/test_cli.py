@@ -1018,6 +1018,10 @@ def ridge_member(weights):
     return member_with("ridge", {"intercept": 0.0, "weights": weights})
 
 
+def with_features(member, features):
+    return dict(member, features=features, learner=dict(member["learner"], features=features))
+
+
 ROUTES = {"strategy": "routes", "groups": {"GA": ["A"], "GY": ["Y"]}}
 TOY_ARGS = ["--data", "{data}", "--target", "Y"]
 # toy6's rows with D are on no segment, so merge_common adds an "uncommon" subset.
@@ -1098,6 +1102,11 @@ MALFORMED_INPUTS = {
         PREDICT,
         {"model": boosting(ridge_member([1.0, 2.0]))}, 2,
         "malformed model: 2 weights for 1 features",
+    ),
+    "member-repeats-a-feature": (
+        PREDICT,
+        {"model": boosting(with_features(ridge_member([1.0, 2.0]), ["A", "A"]))}, 2,
+        "malformed model: member 'base' repeats a feature",
     ),
     "stratum-repeats-a-feature": (
         ["evaluate", *TOY_ARGS, "--model", "{model}", "--strata", "{strata}"],

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -615,8 +616,8 @@ class TestPickleAndCopy:
     """A model pickles and deep-copies with members of every arity.
 
     A copy must score each row as the original does, bit for bit, with
-    the same fired names. A member reading one feature is the case where
-    ``operator.itemgetter`` would hand its row kernel a bare value.
+    the same fired names. Members read no feature, one feature and two
+    features, so every arity of a member's keys is scored.
     """
 
     @staticmethod
@@ -676,6 +677,45 @@ class TestPickleAndCopy:
                 twin_values, twin_fired = twin.predict_dataset(table)
                 assert twin_values.tobytes() == values.tobytes()
                 assert np.array_equal(twin_fired, fired)
+
+
+class TestRowsAreReadByName:
+    """A member reads its inputs from a row mapping by name. The row with
+    its keys reordered, with keys that no member reads, or as a read-only
+    mapping scores as the row does, bit for bit, with the same names."""
+
+    @staticmethod
+    def variants(row):
+        yield dict(reversed(row.items()))
+        yield {"Z": 7.0, **row, "Y": 1e300, "C": float("nan")}
+        yield types.MappingProxyType(row)
+
+    def models(self, table):
+        yield from TestPickleAndCopy().models(table)
+        member = TestPickleAndCopy.member
+        yield EnsembleModel("bagging", "Y", (
+            member("ab", ("A", "B"), "ridge", table), member("b", ("B",), "ridge", table)
+        ))
+
+    def test_variants_score_as_the_row(self):
+        table = TestPickleAndCopy.table()
+        kinds = set()
+        for model in self.models(table):
+            kinds.update(m.learner.kind for m in model.members)
+            for cells in table.values.tolist():
+                row = dict(zip(("A", "B"), cells))
+                try:
+                    value, names = model.predict_with_members(row)
+                except NoApplicableModel:
+                    for variant in self.variants(row):
+                        with pytest.raises(NoApplicableModel):
+                            model.predict_with_members(variant)
+                    continue
+                for variant in self.variants(row):
+                    twin_value, twin_names = model.predict_with_members(variant)
+                    assert np.float64(twin_value).tobytes() == np.float64(value).tobytes()
+                    assert twin_names == names
+        assert kinds == {"mean", "ridge", "tree"}
 
 
 class TestEqualInformationEquivalence:

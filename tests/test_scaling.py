@@ -51,15 +51,16 @@ CONSTANT = [
 PER_ROW = {"generate": 0.015, "write_csv": 0.05, "load_dataset": 0.15}
 
 # Calls per scored row of predict_with_members over every row of the
-# table, as measured with Python 3.11 at 2,000 and 8,000 rows: 8.16 and
-# 8.12 for the ridge chain over auto subsets, 15.03 and 14.95 for the
+# table, as measured with Python 3.11 at 2,000 and 8,000 rows: 6.40 and
+# 6.40 for the ridge chain over auto subsets, 14.89 and 14.91 for the
 # branched trees over grouped subsets. A scored row costs the call, the
 # set of present signals (a call before Python 3.12, which inlines it)
-# and its items(), then per member that fires its row kernel, the kernel's
-# own builtins (ridge: reduce; tree: isinstance per level) and
-# names.append. The pins leave less than half a call per row: one more
-# call per row, or per member that fires, fails.
-SCORE_CALLS_PER_ROW = {"ridge_chain": 8.5, "grouped_trees": 15.5}
+# and its items(), then per member that fires its row kernel, which reads
+# the row by its feature names, the kernel's own builtins (ridge: none,
+# its sum is a loop; tree: isinstance per level) and names.append. The
+# pins leave less than half a call per row: one more call per row, or per
+# member that fires, fails.
+SCORE_CALLS_PER_ROW = {"ridge_chain": 6.9, "grouped_trees": 15.5}
 
 # One scan_split per internal node and feature makes 6 calls: itself,
 # len, two cumsums, arange and argmin. With each node's own work, a fit
