@@ -35,9 +35,12 @@ from .data import (
     write_csv,
     write_json,
 )
-from .ensemble import evaluate, load_model, save_model
+from .ensemble import ENSEMBLE_MODES, evaluate, load_model, save_model
 from .errors import DomainError, InputError, InvalidLayout
+from .learners import LEARNER_KINDS
 from .subsetting import (
+    STRATEGIES,
+    UNCOMMON_POLICIES,
     SubsetSpec,
     build_subset_specs,
     resolve_groups,
@@ -147,6 +150,8 @@ def cmd_subset(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
+    if not config.model_out:
+        raise InputError("no model output path (use --model-out or the config)")
     dataset = _load_input(config)
     specs, _ = build_subset_specs(dataset, config.strategy_options())
     learner = config.learner_config()
@@ -154,8 +159,6 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
     manifest = _spec_manifest(dataset, specs)
     for entry in manifest:
         print(f"member subset {entry['name']}: {entry['n_rows']} training rows")
-    if not config.model_out:
-        raise InputError("no model output path (use --model-out or the config)")
     save_model(model, config.model_out)
     print(
         f"saved {config.mode} model with {len(model.members)} members "
@@ -167,11 +170,11 @@ def cmd_train(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_predict(config: RunConfig, args: argparse.Namespace) -> int:
-    model = load_model(args.model)
-    table = _load_input(config, need_target=False)
     out = config.predictions_out
     if not out:
         raise InputError("no predictions output path (use --out or the config)")
+    model = load_model(args.model)
+    table = _load_input(config, need_target=False)
     values, fired = model.predict_dataset(table)
     scored = fired.any(axis=1)
     # The members and reason cells of each fired pattern, once per pattern.
@@ -285,7 +288,7 @@ def _add_common_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=["grouped", "routes", "auto"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument(
         "--group-signals-only",
         action="store_const",
@@ -294,11 +297,11 @@ def _add_strategy_flags(p: argparse.ArgumentParser) -> None:
         help="grouped strategy: subsets use only the group's own signals",
     )
     p.add_argument("--min-support", type=float)
-    p.add_argument("--uncommon-policy", choices=["drop", "merge_common"])
+    p.add_argument("--uncommon-policy", choices=UNCOMMON_POLICIES)
 
 
 def _add_learner_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learner", dest="kind", choices=["mean", "ridge", "tree"])
+    p.add_argument("--learner", dest="kind", choices=LEARNER_KINDS)
     p.add_argument("--ridge-lambda", type=float)
     p.add_argument("--tree-max-depth", type=int)
     p.add_argument("--tree-min-leaf", type=int)
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(p)
     _add_strategy_flags(p)
     _add_learner_flags(p)
-    p.add_argument("--mode", choices=["boosting", "bagging"])
+    p.add_argument("--mode", choices=ENSEMBLE_MODES)
     p.add_argument("--model-out")
     p.add_argument("--manifest-out")
     p.set_defaults(func=cmd_train)
@@ -360,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_data_flags(p)
     _add_strategy_flags(p)
     _add_learner_flags(p)
-    p.add_argument("--mode", choices=["boosting", "bagging"])
+    p.add_argument("--mode", choices=ENSEMBLE_MODES)
     p.add_argument("--synthetic", action="store_true", help="use generated plant data")
     p.add_argument("--rows", type=int, default=10000)
     p.add_argument("--test-fraction", type=float)

@@ -9,7 +9,8 @@ extend the file's list. Every failure is a ``ConfigError`` (exit 2).
 Recognized keys (all optional unless a command needs them):
 
     data, target          input CSV path and target signal
-    groups                {"group name": ["signal", ...]}
+    groups                {"group name": ["signal", ...]}, each group
+                          listing at least one signal
     segments              {"segment name": ["group name", ...]}
     strategy              "grouped" (the default) | "routes" | "auto"
     include_base_signals  bool, grouped strategy signal-inclusion option

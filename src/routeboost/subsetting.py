@@ -38,6 +38,9 @@ from .errors import (
     UnknownTarget,
 )
 
+STRATEGIES = ("grouped", "routes", "auto")
+UNCOMMON_POLICIES = ("drop", "merge_common")
+
 
 @dataclass(frozen=True)
 class SubsetSpec:
@@ -101,7 +104,7 @@ def subsets_by_grouped_signals(
 
 
 def _check_route_options(min_support: float, uncommon_policy: str) -> None:
-    if uncommon_policy not in ("drop", "merge_common"):
+    if uncommon_policy not in UNCOMMON_POLICIES:
         raise ConfigError(f"unknown uncommon_policy {uncommon_policy!r}")
     if not 0.0 < min_support <= 1.0:
         raise ConfigError(f"min_support must be in (0, 1], got {min_support}")
@@ -234,7 +237,7 @@ def validate_nested_chain(specs: Sequence[SubsetSpec]) -> list[SubsetSpec]:
 class StrategyOptions:
     """Subsetting choices from the CLI or a config file, checked when built."""
 
-    strategy: str = "grouped"  # grouped | routes | auto
+    strategy: str = "grouped"  # one of STRATEGIES
     groups: Mapping[str, Sequence[SignalId]] | None = None
     segments: Mapping[str, Sequence[str]] | None = None
     include_base_signals: bool = True
@@ -242,9 +245,12 @@ class StrategyOptions:
     uncommon_policy: str = "drop"
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("grouped", "routes", "auto"):
+        if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         _check_route_options(self.min_support, self.uncommon_policy)
+        for name, members in (self.groups or {}).items():
+            if not members:
+                raise ConfigError(f"group {name!r} lists no signals")
 
 
 def resolve_groups(

@@ -45,7 +45,7 @@ class SignalSpec:
     name: SignalId
     dist: tuple
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         kind, *params = self.dist or (None,)
         if kind not in ("normal", "uniform"):
             raise InvalidLayout(f"signal {self.name!r}: unknown distribution {kind!r}")
@@ -88,25 +88,27 @@ class TargetRule:
 
 @dataclass(frozen=True)
 class PlantLayout:
+    """A plant's units, routes and target rule, checked when built."""
+
     units: tuple[Unit, ...]
     routes: tuple[Route, ...]
     target_rule: TargetRule
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         unit_names = [u.name for u in self.units]
         signals = self.signal_names()
-        names = unit_names + signals + [r.name for r in self.routes]
+        route_names = [r.name for r in self.routes]
+        names = unit_names + signals + route_names
         if not is_name_list(names + [self.target_rule.target]):
             raise InvalidLayout("unit, route, signal and target names must be strings")
         if len(set(unit_names)) != len(unit_names):
             raise InvalidLayout("unit names must be unique")
+        if len(set(route_names)) != len(route_names):
+            raise InvalidLayout("route names must be unique")
         if len(set(signals)) != len(signals):
             raise InvalidLayout("signal names must be globally unique")
         if self.target_rule.target in signals:
             raise InvalidLayout("target name collides with a unit signal")
-        for unit in self.units:
-            for sig in unit.signals:
-                sig.validate()
         if not self.routes:
             raise InvalidLayout("layout declares no routes")
         rule = self.target_rule
@@ -142,10 +144,11 @@ class PlantLayout:
         return {sig.name for u in self.units if u.name in route.units for sig in u.signals}
 
     def route_strategy(self) -> tuple[dict[str, list[SignalId]], dict[str, list[str]]]:
-        """``(groups, segments)`` for the routes strategy: one group per unit,
-        of its signals, and one segment per route, of the units it visits."""
-        groups = {u.name: [sig.name for sig in u.signals] for u in self.units}
-        return groups, {r.name: list(r.units) for r in self.routes}
+        """``(groups, segments)`` for the routes strategy: one group per unit
+        with signals, of its signals, and one segment per route, of the
+        units with signals that it visits."""
+        groups = {u.name: [s.name for s in u.signals] for u in self.units if u.signals}
+        return groups, {r.name: [u for u in r.units if u in groups] for r in self.routes}
 
 
 @dataclass(frozen=True)
@@ -223,9 +226,7 @@ def default_layout() -> PlantLayout:
         "CAL_2": 0.7,
     }
     rule = TargetRule("Y", 5.0, coefficients, DEFAULT_NOISE_SIGMA)
-    layout = PlantLayout(units, routes, rule)
-    layout.validate()
-    return layout
+    return PlantLayout(units, routes, rule)
 
 
 # Rows per random stream: block b of a table with seed s draws from
@@ -236,7 +237,6 @@ _BLOCK_ROWS = 1024
 def generate(spec: GenSpec) -> Dataset:
     """Sample a dataset; fully determined by the layout, n_rows, and seed."""
     layout = spec.layout
-    layout.validate()
     signals = [sig for unit in layout.units for sig in unit.signals]
     target = layout.target_rule.target
     columns = tuple(sig.name for sig in signals) + (target,)
@@ -346,7 +346,7 @@ def layout_from_dict(d: dict) -> PlantLayout:
             for r in d["routes"]
         )
         rule = d["target_rule"]
-        layout = PlantLayout(
+        return PlantLayout(
             units,
             routes,
             TargetRule(
@@ -356,10 +356,8 @@ def layout_from_dict(d: dict) -> PlantLayout:
                 rule["noise_sigma"],
             ),
         )
-        layout.validate()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidLayout(f"malformed layout document: {exc}") from None
-    return layout
 
 
 def with_noise_sigma(layout: PlantLayout, noise_sigma: float) -> PlantLayout:

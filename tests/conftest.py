@@ -91,7 +91,6 @@ def route_plant(routes: dict[str, tuple[int, ...]], n_rows: int, seed: int):
         ),
         TargetRule("Y", 5.0, weights, 1.0),
     )
-    layout.validate()
     dataset = generate(GenSpec(layout, n_rows, seed))
     options = StrategyOptions("routes", *layout.route_strategy())
     specs, _ = build_subset_specs(dataset, options)

@@ -21,7 +21,6 @@ from routeboost.synthgen import _BLOCK_ROWS, GenSpec
 def generate(spec: GenSpec) -> Dataset:
     """Sample a dataset; fully determined by the layout, n_rows, and seed."""
     layout = spec.layout
-    layout.validate()
     signals = [sig for unit in layout.units for sig in unit.signals]
     target = layout.target_rule.target
     columns = tuple(sig.name for sig in signals) + (target,)

@@ -720,10 +720,11 @@ class TestMalformedLayout:
                 lambda doc: doc["target_rule"].update(noise_sigma=float("nan")),
                 "noise_sigma must be a finite number, got nan",
             ),
+            (lambda doc: doc["routes"][1].update(name="narrow"), "route names must be unique"),
         ],
         ids=[
             "sd-string", "mean-string", "two-element-dist", "target-list", "units-string",
-            "probability-string", "coefficient-true", "noise-sigma-nan",
+            "probability-string", "coefficient-true", "noise-sigma-nan", "repeated-route",
         ],
     )
     def test_exit_2(self, tmp_path, capsys, change, message):
@@ -1037,8 +1038,9 @@ GENERATE = ["generate", "--out", "{out}", "--layout", "{layout}"]
 # other tests leave out: (argv, documents, exit code, stderr line). In
 # argv and the message, {data} is the toy6 CSV, {out} an output path,
 # {csv} a file of the given text and {config}, {model}, {layout} or
-# {strata} the file that holds that document. A bad strategy or uncommon_policy stops analyze too, which
-# builds no subsets.
+# {strata} the file that holds that document. A bad strategy,
+# uncommon_policy or group stops analyze too, which builds no subsets.
+# Every case fails before the command prints anything.
 MALFORMED_INPUTS = {
     "no-data": (["analyze", "--target", "Y"], {}, 2,
                 "no input data file given (use --data or the config)"),
@@ -1144,6 +1146,10 @@ MALFORMED_INPUTS = {
         ["subset", *CONFIG_ARGS],
         {"config": {"strategy": "routes"}}, 2, "strategy 'routes' needs route segments",
     ),
+    "empty-group": (
+        ["analyze", *CONFIG_ARGS],
+        {"config": {"groups": {"EMPTY": []}}}, 2, "group 'EMPTY' lists no signals",
+    ),
     "unknown-strategy": (
         ["analyze", *CONFIG_ARGS],
         {"config": {"strategy": "bogus"}}, 2, "unknown strategy 'bogus'",
@@ -1217,6 +1223,8 @@ def test_malformed_input_exit_code_and_message(
         paths[kind] = str(tmp_path / f"{kind}.{suffix}")
         Path(paths[kind]).write_text(text, encoding="utf-8")
     exit_code = main([arg.format(**paths) for arg in argv])
-    err = one_line_error(exit_code, capsys, expected=code)
-    assert err == f"error: {message.format(**paths)}\n"
+    captured = capsys.readouterr()
+    assert exit_code == code
+    assert captured.err == f"error: {message.format(**paths)}\n"
+    assert captured.out == ""
     assert not Path(paths["out"]).exists()

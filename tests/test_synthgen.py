@@ -5,7 +5,7 @@ from routeboost.analysis import SignalGroup, route_frequencies
 from routeboost.data import write_csv
 from routeboost.errors import InvalidLayout, NonFinite
 from routeboost.learners import LearnerConfig, fit
-from routeboost.subsetting import SubsetSpec, materialize
+from routeboost.subsetting import StrategyOptions, SubsetSpec, materialize
 from routeboost.synthgen import (
     GenSpec,
     PlantLayout,
@@ -168,39 +168,35 @@ class TestLayoutValidation:
         return PlantLayout(units, routes, rule)
 
     def test_probabilities_must_sum_to_one(self):
-        with pytest.raises(InvalidLayout):
-            self.base_layout(probability=0.5).validate()
+        with pytest.raises(InvalidLayout, match="^route probabilities sum to 0.5, "):
+            self.base_layout(probability=0.5)
 
     def test_unknown_unit_in_route(self):
         layout = self.base_layout()
-        bad = PlantLayout(
-            layout.units,
-            (Route("r", ("NOPE",), 1.0),),
-            layout.target_rule,
-        )
-        with pytest.raises(InvalidLayout):
-            bad.validate()
+        with pytest.raises(InvalidLayout, match="^route 'r': unknown unit 'NOPE'$"):
+            PlantLayout(layout.units, (Route("r", ("NOPE",), 1.0),), layout.target_rule)
 
     def test_duplicate_signal_names(self):
         units = (
             Unit("U", (SignalSpec("s", ("normal", 0.0, 1.0)),)),
             Unit("V", (SignalSpec("s", ("normal", 0.0, 1.0)),)),
         )
-        layout = PlantLayout(
-            units, (Route("r", ("U", "V"), 1.0),), TargetRule("Y", 0.0, {}, 0.0)
-        )
-        with pytest.raises(InvalidLayout):
-            layout.validate()
+        routes = (Route("r", ("U", "V"), 1.0),)
+        with pytest.raises(InvalidLayout, match="^signal names must be globally unique$"):
+            PlantLayout(units, routes, TargetRule("Y", 0.0, {}, 0.0))
 
     def test_coefficient_for_unknown_signal(self):
         layout = self.base_layout()
-        bad = PlantLayout(
-            layout.units,
-            layout.routes,
-            TargetRule("Y", 0.0, {"ghost": 1.0}, 0.0),
-        )
-        with pytest.raises(InvalidLayout):
-            bad.validate()
+        rule = TargetRule("Y", 0.0, {"ghost": 1.0}, 0.0)
+        with pytest.raises(InvalidLayout, match="unknown signal 'ghost'$"):
+            PlantLayout(layout.units, layout.routes, rule)
+
+    def test_checked_however_built(self):
+        """A signal is checked without a layout, and a replaced field is checked."""
+        with pytest.raises(InvalidLayout, match="^signal 's': negative sd$"):
+            SignalSpec("s", ("normal", 0.0, -1.0))
+        with pytest.raises(InvalidLayout, match="^noise_sigma must be non-negative$"):
+            with_noise_sigma(self.base_layout(), -1.0)
 
     def test_generate_rejects_invalid_layout(self):
         with pytest.raises(InvalidLayout):
@@ -227,6 +223,16 @@ class TestLayoutValidation:
         assert type(spec.n_rows) is int and type(spec.seed) is int
         want = generate(GenSpec(self.base_layout(), 20, 2**64 - 1))
         assert generate(spec).values.tobytes() == want.values.tobytes()
+
+
+def test_route_strategy_leaves_out_units_without_signals():
+    normal = ("normal", 0.0, 1.0)
+    units = (Unit("a", (SignalSpec("a1", normal),)), Unit("e", ()))
+    routes = (Route("r", ("e", "a"), 0.5), Route("s", ("a",), 0.5))
+    layout = PlantLayout(units, routes, TargetRule("Y", 0.0, {}, 1.0))
+    groups, segments = layout.route_strategy()
+    assert (groups, segments) == ({"a": ["a1"]}, {"r": ["a"], "s": ["a"]})
+    StrategyOptions("routes", groups, segments)  # a group with no signals is refused
 
 
 class TestLayoutSerialization:
