@@ -198,10 +198,6 @@ class TestLayoutValidation:
         with pytest.raises(InvalidLayout, match="^noise_sigma must be non-negative$"):
             with_noise_sigma(self.base_layout(), -1.0)
 
-    def test_generate_rejects_invalid_layout(self):
-        with pytest.raises(InvalidLayout):
-            generate(GenSpec(self.base_layout(probability=0.9), 10, 0))
-
     def test_seed_must_be_unsigned_64bit(self):
         with pytest.raises(InvalidLayout):
             GenSpec(self.base_layout(), 10, -1)
