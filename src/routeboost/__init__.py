@@ -49,7 +49,6 @@ from .learners import (
     learner_to_dict,
 )
 from .subsetting import (
-    RouteSegment,
     StrategyOptions,
     SubsetSpec,
     build_subset_specs,

@@ -60,14 +60,6 @@ class OverlappingGroups(DomainError):
     pass
 
 
-class UnknownGroup(DomainError):
-    pass
-
-
-class EmptySegment(DomainError):
-    pass
-
-
 class NoQualifyingRoutes(DomainError):
     pass
 

@@ -4,10 +4,12 @@ Two strategies produce subset specs: splitting by signal groups
 (one base subset over always-available signals plus one subset per
 incomplete group) and splitting by common production routes (one subset
 per route segment, derived automatically from route frequencies or given
-explicitly). A spec's features are ``Dataset.features``: signals other
-than the target, in column order. Materializing a spec yields a dataset
-with zero missing cells; training rows additionally require a present
-target.
+explicitly). Given segments have one form, the mapping of segment name
+to group names that a config file and ``StrategyOptions.segments`` hold,
+and each mistake in one is a ConfigError (exit code 2 in the CLI). A
+spec's features are ``Dataset.features``: signals other than the target,
+in column order. Materializing a spec yields a dataset with zero missing
+cells; training rows additionally require a present target.
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from .data import Dataset, SignalId
 from .errors import (
     ConfigError,
     DuplicateFeatureSet,
-    EmptySegment,
     EmptySubset,
     NoBaseSignals,
     NoQualifyingRoutes,
     NotNested,
-    UnknownGroup,
     UnknownTarget,
 )
 
@@ -58,18 +58,6 @@ class SubsetSpec:
     @property
     def feature_set(self) -> frozenset[SignalId]:
         return frozenset(self.features)
-
-
-@dataclass(frozen=True)
-class RouteSegment:
-    """An ordered list of group names an item must have passed."""
-
-    name: str
-    groups: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.groups)) != len(self.groups):
-            raise ValueError(f"segment {self.name!r} repeats a group")
 
 
 def subsets_by_grouped_signals(
@@ -113,15 +101,17 @@ def _check_route_options(min_support: float, uncommon_policy: str) -> None:
 def subsets_by_common_routes(
     dataset: Dataset,
     groups: Sequence[SignalGroup],
-    segments: Sequence[RouteSegment] | None = None,
+    segments: Mapping[str, Sequence[str]] | None = None,
     *,
     min_support: float = 0.05,
     uncommon_policy: str = "drop",
 ) -> list[SubsetSpec]:
     """One spec per route segment.
 
-    With explicit ``segments``, each spec's features are the union of the
-    segment's group signals. Without them, segments are derived from the
+    With explicit ``segments``, a mapping of segment name to the group
+    names an item must have passed, each spec's features are the union of
+    the segment's group signals; a mistake in a segment raises
+    ConfigError. Without them, segments are derived from the
     route frequencies: every group combination whose share of rows is at
     least ``min_support`` becomes a spec named by its sorted group names
     joined with '+'.
@@ -139,17 +129,19 @@ def subsets_by_common_routes(
     specs: list[SubsetSpec] = []
     if segments is not None:
         if not segments:
-            raise EmptySegment("no route segments given")
-        for seg in segments:
-            if not seg.groups:
-                raise EmptySegment(f"segment {seg.name!r} lists no groups")
-            for gname in seg.groups:
+            raise ConfigError("no route segments given")
+        for name, seg_groups in segments.items():
+            if not seg_groups:
+                raise ConfigError(f"segment {name!r} lists no groups")
+            if len(set(seg_groups)) != len(seg_groups):
+                raise ConfigError(f"segment {name!r} repeats a group")
+            for gname in seg_groups:
                 if gname not in by_name:
-                    raise UnknownGroup(f"segment {seg.name!r}: unknown group {gname!r}")
-            feats = dataset.features(s for g in seg.groups for s in by_name[g].members)
+                    raise ConfigError(f"segment {name!r}: unknown group {gname!r}")
+            feats = dataset.features(s for g in seg_groups for s in by_name[g].members)
             if not feats:
-                raise EmptySegment(f"segment {seg.name!r} covers no feature signals")
-            specs.append(SubsetSpec(seg.name, feats))
+                raise ConfigError(f"segment {name!r} covers no feature signals")
+            specs.append(SubsetSpec(name, feats))
     else:
         routes = route_frequencies(dataset, groups)
         threshold = min_support * dataset.n_rows
@@ -276,15 +268,9 @@ def build_subset_specs(
     if options.strategy == "routes":
         if not options.segments:
             raise ConfigError("strategy 'routes' needs route segments")
-        try:
-            segments = [RouteSegment(n, tuple(gs)) for n, gs in options.segments.items()]
-        except ValueError as exc:  # a segment repeats a group
-            raise ConfigError(str(exc)) from None
-    try:
-        specs = subsets_by_common_routes(
-            dataset, groups, segments, min_support=options.min_support,
-            uncommon_policy=options.uncommon_policy,
-        )
-    except (EmptySegment, UnknownGroup) as exc:  # the configured segments' shape
-        raise ConfigError(str(exc)) from None
+        segments = options.segments
+    specs = subsets_by_common_routes(
+        dataset, groups, segments, min_support=options.min_support,
+        uncommon_policy=options.uncommon_policy,
+    )
     return specs, groups

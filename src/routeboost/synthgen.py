@@ -332,18 +332,35 @@ def layout_to_dict(layout: PlantLayout) -> dict:
     }
 
 
+def _part(doc: dict, key: str, kind: type, owner: str | None = None):
+    """``doc[key]`` if it is a JSON list (``kind`` list) or object (dict),
+    which anything else would be read as the characters or keys of;
+    otherwise a TypeError naming the field and its ``owner``."""
+    value = doc[key]
+    if not isinstance(value, kind):
+        field = f"{owner}: {key}" if owner else key
+        what = "a list" if kind is list else "an object"
+        raise TypeError(f"{field} must be {what}, got {value!r}")
+    return value
+
+
 def layout_from_dict(d: dict) -> PlantLayout:
     try:
         units = tuple(
             Unit(
                 u["name"],
-                tuple(SignalSpec(s["name"], tuple(s["dist"])) for s in u["signals"]),
+                tuple(
+                    SignalSpec(
+                        s["name"], tuple(_part(s, "dist", list, f"signal {s['name']!r}"))
+                    )
+                    for s in _part(u, "signals", list, f"unit {u['name']!r}")
+                ),
             )
-            for u in d["units"]
+            for u in _part(d, "units", list)
         )
         routes = tuple(
             Route(r["name"], signal_names(r["units"]), r["probability"])
-            for r in d["routes"]
+            for r in _part(d, "routes", list)
         )
         rule = d["target_rule"]
         return PlantLayout(
@@ -352,7 +369,7 @@ def layout_from_dict(d: dict) -> PlantLayout:
             TargetRule(
                 rule["target"],
                 rule["intercept"],
-                rule["coefficients"],
+                _part(rule, "coefficients", dict, "target_rule"),
                 rule["noise_sigma"],
             ),
         )

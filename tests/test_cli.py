@@ -1181,6 +1181,34 @@ MALFORMED_INPUTS = {
         {"layout": layout_with(set_dist(["uniform", 1.0, 0.0]))}, 2,
         "signal 'DES_1': empty uniform range",
     ),
+    "dist-a-string": (
+        GENERATE, {"layout": layout_with(set_dist("normal"))}, 2,
+        "malformed layout document: signal 'DES_1': dist must be a list, got 'normal'",
+    ),
+    "dist-an-object": (
+        GENERATE, {"layout": layout_with(set_dist({"normal": 1}))}, 2,
+        "malformed layout document: signal 'DES_1': dist must be a list, "
+        "got {{'normal': 1}}",
+    ),
+    "signals-a-string": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc["units"][0].update(signals="DES_1"))}, 2,
+        "malformed layout document: unit 'DES': signals must be a list, got 'DES_1'",
+    ),
+    "units-an-object": (
+        GENERATE, {"layout": layout_with(lambda doc: doc.update(units={"a": 1}))}, 2,
+        "malformed layout document: units must be a list, got {{'a': 1}}",
+    ),
+    "routes-an-object": (
+        GENERATE, {"layout": layout_with(lambda doc: doc.update(routes={"a": 1}))}, 2,
+        "malformed layout document: routes must be a list, got {{'a': 1}}",
+    ),
+    "coefficients-a-list": (
+        GENERATE,
+        {"layout": layout_with(lambda doc: doc["target_rule"].update(coefficients=[1, 2]))},
+        2, "malformed layout document: target_rule: coefficients must be an object, "
+        "got [1, 2]",
+    ),
     "repeated-unit": (
         GENERATE,
         {"layout": layout_with(lambda doc: doc["units"][1].update(name="DES"))}, 2,

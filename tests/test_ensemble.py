@@ -35,7 +35,6 @@ from routeboost.errors import (
 )
 from routeboost.learners import LearnerConfig, MeanLearner, RidgeLearner, fit
 from routeboost.subsetting import (
-    RouteSegment,
     StrategyOptions,
     SubsetSpec,
     build_subset_specs,
@@ -56,7 +55,7 @@ def steel_chain(n=600, seed=4, config=RIDGE):
     groups = [
         SignalGroup(u.name, tuple(s.name for s in u.signals)) for u in layout.units
     ]
-    segments = [RouteSegment(r.name, r.units) for r in layout.routes]
+    segments = {r.name: r.units for r in layout.routes}
     specs = subsets_by_common_routes(ds, groups, segments)
     return ds, specs, train_boosting(ds, specs, config)
 

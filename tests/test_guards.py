@@ -3,7 +3,9 @@
 These guard the public functions against calls the CLI never makes, so
 no command reaches them: a table of the wrong shape, a row out of range
 or not an integer, an empty list of subsets, a dataset without a target, a fraction out of
-range. A case that needs a table reads the six-row ``toy6`` one.
+range. The route segment refusals, which the CLI reaches through a config,
+are here too, called with a segment mapping as a library caller would. A
+case that needs a table reads the six-row ``toy6`` one.
 """
 
 import numpy as np
@@ -20,8 +22,8 @@ from routeboost.ensemble import (
     train_test_split_rows,
 )
 from routeboost.errors import (
+    ConfigError,
     DuplicateSignal,
-    EmptySegment,
     RowOutOfRange,
     UnknownTarget,
 )
@@ -45,6 +47,13 @@ def features_only(toy: Dataset) -> Dataset:
 
 def mean_model(toy: Dataset):
     return train_conventional(toy.project(("A", "Y")), MEAN)
+
+
+def route_subsets(segments):
+    """``subsets_by_common_routes`` on toy6 with a group of A and one of
+    the target alone."""
+    groups = [SignalGroup("GA", ("A",)), SignalGroup("GY", ("Y",))]
+    return lambda toy: subsets_by_common_routes(toy, groups, segments)
 
 
 # Each case: (call on the toy6 table, exception type, str() of the exception).
@@ -183,9 +192,19 @@ GUARDS = {
     "learner-to-dict-not-a-learner": (
         lambda toy: learner_to_dict("ridge"), TypeError, "not a fitted learner: 'ridge'",
     ),
-    "no-route-segments": (
-        lambda toy: subsets_by_common_routes(toy, [SignalGroup("GA", ("A",))], []),
-        EmptySegment, "no route segments given",
+    "no-route-segments": (route_subsets({}), ConfigError, "no route segments given"),
+    "segment-lists-no-groups": (
+        route_subsets({"s": []}), ConfigError, "segment 's' lists no groups",
+    ),
+    "segment-repeats-a-group": (
+        route_subsets({"s": ["GA", "GA"]}), ConfigError, "segment 's' repeats a group",
+    ),
+    "segment-unknown-group": (
+        route_subsets({"s": ["GA", "GB"]}), ConfigError, "segment 's': unknown group 'GB'",
+    ),
+    "segment-covers-only-the-target": (
+        route_subsets({"s": ["GY"]}), ConfigError,
+        "segment 's' covers no feature signals",
     ),
     "subset-rows-no-target": (
         lambda toy: subset_rows(features_only(toy), SPEC), UnknownTarget,

@@ -12,11 +12,11 @@ from routeboost.errors import (
     NoBaseSignals,
     NoQualifyingRoutes,
     NotNested,
-    UnknownGroup,
 )
 from routeboost.subsetting import (
-    RouteSegment,
+    StrategyOptions,
     SubsetSpec,
+    build_subset_specs,
     materialize,
     subset_rows,
     subsets_by_common_routes,
@@ -68,13 +68,25 @@ class TestCommonRoutes:
             SignalGroup(u.name, tuple(s.name for s in u.signals))
             for u in layout.units
         ]
-        segments = [RouteSegment(r.name, r.units) for r in layout.routes]
+        segments = {r.name: r.units for r in layout.routes}
         specs = subsets_by_common_routes(ds, groups, segments)
         assert [s.name for s in specs] == ["narrow", "balanced", "wide"]
         narrow, balanced, wide = specs
         assert narrow.feature_set < balanced.feature_set < wide.feature_set
         counts = [subset_rows(ds, s).size for s in specs]
         assert counts[0] >= counts[1] >= counts[2]
+
+    def test_segments_mapping_gives_the_options_specs(self):
+        """The layout's segment mapping, handed to subsets_by_common_routes
+        as it is, gives the specs of StrategyOptions holding it."""
+        layout = default_layout()
+        ds = generate(GenSpec(layout, 400, 11))
+        groups, segments = layout.route_strategy()
+        options = StrategyOptions(strategy="routes", groups=groups, segments=segments)
+        specs, _ = build_subset_specs(ds, options)
+        signal_groups = [SignalGroup(name, tuple(sigs)) for name, sigs in groups.items()]
+        assert subsets_by_common_routes(ds, signal_groups, segments) == specs
+        assert [s.name for s in specs] == ["narrow", "balanced", "wide"]
 
     def test_auto_mode_finds_both_routes(self, toy6):
         specs = subsets_by_common_routes(
@@ -97,10 +109,8 @@ class TestCommonRoutes:
         assert [(s.name, s.features) for s in specs] == [("uncommon", ("A",))]
 
     def test_unknown_group_in_segment(self, toy6):
-        with pytest.raises(UnknownGroup):
-            subsets_by_common_routes(
-                toy6, toy6_groups(), [RouteSegment("seg", ("A", "NOPE"))]
-            )
+        with pytest.raises(ConfigError, match="^segment 'seg': unknown group 'NOPE'$"):
+            subsets_by_common_routes(toy6, toy6_groups(), {"seg": ["A", "NOPE"]})
 
     def test_auto_names_join_sorted_groups(self, toy6):
         specs = subsets_by_common_routes(toy6, toy6_groups(), None, min_support=0.4)
@@ -111,7 +121,7 @@ class TestCommonRoutes:
         "uncommon" subset beside the segment of that name."""
         with pytest.raises(ConfigError, match="^two route subsets are named 'uncommon'$"):
             subsets_by_common_routes(
-                toy6, toy6_groups(), [RouteSegment("uncommon", ("A", "C"))],
+                toy6, toy6_groups(), {"uncommon": ["A", "C"]},
                 uncommon_policy="merge_common",
             )
 
@@ -214,7 +224,7 @@ class TestSubsetProperties:
             SignalGroup(u.name, tuple(s.name for s in u.signals))
             for u in layout.units
         ]
-        segments = [RouteSegment(r.name, r.units) for r in layout.routes]
+        segments = {r.name: r.units for r in layout.routes}
         specs = subsets_by_common_routes(ds, groups, segments)
         for a in specs:
             for b in specs:
